@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DataError, DegeneracyError
 
-__all__ = ["OlsFit", "solve_ols"]
+__all__ = ["OlsFit", "scaled_qr", "solve_ols"]
 
 
 @dataclass(frozen=True)
@@ -42,15 +42,11 @@ class OlsFit:
         return np.sqrt(self.sigma2 * np.diag(self.xtx_inv))
 
 
-def solve_ols(x: np.ndarray, y: np.ndarray) -> OlsFit:
-    """Least squares of y on the columns of x; rejects rank deficiency."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if x.ndim != 2 or x.shape[0] != y.shape[0]:
-        raise DataError(f"incompatible shapes {x.shape} and {y.shape}")
-    n, k = x.shape
-    if n <= k:
-        raise DataError(f"need more observations ({n}) than regressors ({k})")
+def scaled_qr(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """QR of x with unit-RMS columns: (xs, scale, q, r), xs = x / scale = q @ r.
+
+    Raises DegeneracyError for a zero column or collinear columns.
+    """
     scale = np.sqrt((x * x).mean(axis=0))
     if not np.all(scale > 0.0):
         raise DegeneracyError("a regressor column is identically zero")
@@ -60,6 +56,19 @@ def solve_ols(x: np.ndarray, y: np.ndarray) -> OlsFit:
     # Columns have unit RMS, so a tiny pivot can only mean collinearity.
     if rdiag.min() <= 1e-12 * max(rdiag.max(), 1.0):
         raise DegeneracyError("collinear regressors")
+    return xs, scale, q, r
+
+
+def solve_ols(x: np.ndarray, y: np.ndarray) -> OlsFit:
+    """Least squares of y on the columns of x; rejects rank deficiency."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float).reshape(-1)
+    if x.ndim != 2 or x.shape[0] != y.shape[0]:
+        raise DataError(f"incompatible shapes {x.shape} and {y.shape}")
+    n, k = x.shape
+    if n <= k:
+        raise DataError(f"need more observations ({n}) than regressors ({k})")
+    xs, scale, q, r = scaled_qr(x)
     beta_s = np.linalg.solve(r, q.T @ y)
     r_inv = np.linalg.solve(r, np.eye(k))
     xtx_inv = (r_inv @ r_inv.T) / np.outer(scale, scale)

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._ols import solve_ols
+from ._ols import scaled_qr, solve_ols
 from .errors import DataError, DegeneracyError, ParameterError
-from .lrcov import LongRunCovariance, long_run_cov, newey_west_bandwidth
+from .lrcov import LongRunCovariance, long_run_cov
 from .model import TrendCoefficients
 from .series import MonthStamp, MonthlySeries
 
@@ -36,9 +36,6 @@ __all__ = [
     "hansen_lc",
     "lc_critical_value",
     "lc_p_value_range",
-    "long_run_cov",
-    "LongRunCovariance",
-    "newey_west_bandwidth",
 ]
 
 CONST = "const"
@@ -304,18 +301,9 @@ def fmols(
 
     # Solve in column-scaled coordinates: the quadratic trend makes the
     # raw moment matrix too ill-conditioned for a direct solve.
-    zs = z[1:]
-    m = zs.shape[0]
-    scale = np.sqrt((zs * zs).mean(axis=0))
-    if not np.all(scale > 0.0):
-        raise DegeneracyError("a regressor column is identically zero")
-    zt = zs / scale
-    q, r = np.linalg.qr(zt)
-    rdiag = np.abs(np.diag(r))
-    if rdiag.min() <= 1e-12 * max(rdiag.max(), 1.0):
-        raise DegeneracyError("singular regressor moment matrix")
+    zt, scale, _, r = scaled_qr(z[1:])
     bias_t = bias / scale
-    rhs = zt.T @ y_plus - m * bias_t
+    rhs = zt.T @ y_plus - (n - 1) * bias_t
     theta_t = np.linalg.solve(r, np.linalg.solve(r.T, rhs))
     theta = theta_t / scale
 

@@ -87,18 +87,22 @@ class LongRunCovariance:
         object.__setattr__(self, "gamma0", gamma0)
 
 
-def _stacked_lrcov(e: np.ndarray, bandwidth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bartlett sums for an n x k matrix of demeaned columns."""
+def _bartlett_sum(e: np.ndarray, bandwidth: int, lag_factor: float):
+    """gamma0 and gamma0 + lag_factor * sum_j w_j Gamma_j, for a vector or n x k e.
+
+    Factor 1 gives the one-sided sum; factor 2 the two-sided sum of a
+    single vector, whose lag j and lag -j autocovariances coincide.
+    """
+    bandwidth = int(bandwidth)
+    if bandwidth < 0:
+        raise ParameterError(f"bandwidth must be >= 0, got {bandwidth}")
     n = e.shape[0]
-    e = e - e.mean(axis=0)
     gamma0 = e.T @ e / n
-    lam = gamma0.copy()
+    total = gamma0
     for j in range(1, min(bandwidth, n - 1) + 1):
         w = 1.0 - j / (bandwidth + 1.0)
-        lam += w * (e[j:].T @ e[:-j]) / n
-    omega = lam + lam.T - gamma0
-    omega = (omega + omega.T) / 2.0
-    return omega, lam, gamma0
+        total = total + lag_factor * w * (e[j:].T @ e[:-j]) / n
+    return gamma0, total
 
 
 def long_run_cov(u, v, bandwidth: int | None = None) -> LongRunCovariance:
@@ -118,9 +122,10 @@ def long_run_cov(u, v, bandwidth: int | None = None) -> LongRunCovariance:
     if bandwidth is None:
         bandwidth = newey_west_bandwidth(n)
     bandwidth = int(bandwidth)
-    if bandwidth < 0:
-        raise ParameterError(f"bandwidth must be >= 0, got {bandwidth}")
-    omega, lam, gamma0 = _stacked_lrcov(np.column_stack([u, v]), bandwidth)
+    e = np.column_stack([u, v])
+    gamma0, lam = _bartlett_sum(e - e.mean(axis=0), bandwidth, 1.0)
+    omega = lam + lam.T - gamma0
+    omega = (omega + omega.T) / 2.0
     return LongRunCovariance(omega=omega, lam=lam, gamma0=gamma0, bandwidth=bandwidth)
 
 
@@ -135,11 +140,4 @@ def bartlett_long_run_variance(e, bandwidth: int) -> float:
     n = e.size
     if n < 2:
         raise DataError(f"need at least 2 observations, got {n}")
-    bandwidth = int(bandwidth)
-    if bandwidth < 0:
-        raise ParameterError(f"bandwidth must be >= 0, got {bandwidth}")
-    lrv = float(e @ e) / n
-    for j in range(1, min(bandwidth, n - 1) + 1):
-        w = 1.0 - j / (bandwidth + 1.0)
-        lrv += 2.0 * w * float(e[j:] @ e[:-j]) / n
-    return lrv
+    return float(_bartlett_sum(e, bandwidth, 2.0)[1])

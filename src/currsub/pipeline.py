@@ -248,7 +248,8 @@ def ingest(path: str) -> IngestResult:
         raise IngestionError(f"cannot read {path}: {exc}") from None
     digest = "sha256:" + hashlib.sha256(raw).hexdigest()
     try:
-        text = raw.decode("utf-8")
+        # utf-8-sig drops a leading byte-order mark; the digest keeps it.
+        text = raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise IngestionError(f"{path} is not UTF-8 text: {exc}") from None
     rows, schema = ingest_rows(text)

@@ -1,5 +1,6 @@
 """CSV ingestion, series derivation, and the batch analysis drivers."""
 
+import hashlib
 import json
 import math
 
@@ -149,6 +150,36 @@ class TestIngest:
         assert len(result.digest) == len("sha256:") + 64
         with pytest.raises(IngestionError, match="cannot read"):
             ingest(str(tmp_path / "absent.csv"))
+
+    def test_bom_and_crlf_copies_estimate_identically(self, tmp_path):
+        plain = dataset_csv_text(
+            dataset_rows_from_simulation(simulate_dgp(TABLE_COEFFS, 171, NOISE, 25))
+        ).encode("utf-8")
+        copies = {
+            "plain": plain,
+            "bom": b"\xef\xbb\xbf" + plain,
+            "crlf": plain.replace(b"\n", b"\r\n"),
+        }
+        rows, bodies, digests = {}, {}, set()
+        for name, raw in copies.items():
+            path = tmp_path / f"{name}.csv"
+            path.write_bytes(raw)
+            ingested = ingest(str(path))
+            assert ingested.digest == "sha256:" + hashlib.sha256(raw).hexdigest()
+            digests.add(ingested.digest)
+            derived = derive_series(ingested.rows, CONFIG)
+            doc = build_report(
+                CONFIG,
+                ingested,
+                unit_roots=run_unit_roots(derived, CONFIG),
+                estimation=run_estimation(derived, CONFIG),
+            )
+            del doc["input_digest"]
+            rows[name] = ingested.rows
+            bodies[name] = render_report(doc, "json")
+        assert len(digests) == 3
+        assert rows["bom"] == rows["plain"] == rows["crlf"]
+        assert bodies["bom"] == bodies["plain"] == bodies["crlf"]
 
 
 class TestDeriveSeries:
@@ -397,7 +428,6 @@ class TestReportRendering:
         rows = dataset_rows_from_simulation(sim)
         text = dataset_csv_text(rows)
         ingested_rows, schema = ingest_rows(text)
-        import hashlib
 
         class FakeIngest:
             rows = ingested_rows

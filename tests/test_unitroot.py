@@ -204,6 +204,99 @@ class TestPp:
             pp_test(series(np.ones(100)))
 
 
+def ma2_series(seed, n, theta=(0.6, 0.3)):
+    rng = np.random.default_rng(seed)
+    e = rng.standard_normal(n + 2)
+    return series(e[2:] + theta[0] * e[1:-1] + theta[1] * e[:-2])
+
+
+ORACLE_SERIES = {
+    "random_walk": lambda seed: random_walk(seed, 200),
+    "ar1": lambda seed: ar1_series(seed, 200, rho=0.8),
+    "ma2": lambda seed: ma2_series(seed, 200),
+}
+
+
+def _oracle_design(y, kind, lag, trim):
+    """Unscaled Dickey-Fuller regression on difference rows trim.. (level first)."""
+    dy = np.diff(y)
+    rows = np.arange(trim, dy.size)
+    cols = [y[rows]] + [dy[rows - j] for j in range(1, lag + 1)]
+    cols.append(np.ones(rows.size))
+    if kind == TREND_AND_INTERCEPT:
+        cols.append(rows.astype(float))
+    return np.column_stack(cols), dy[rows]
+
+
+def _oracle_fit(x, lhs):
+    """(beta, resid, standard error of beta[0]) by lstsq, no QR of our own."""
+    beta = np.linalg.lstsq(x, lhs, rcond=None)[0]
+    resid = lhs - x @ beta
+    s2 = float(resid @ resid) / (x.shape[0] - x.shape[1])
+    # Frisch-Waugh: (X'X)^-1[0, 0] is 1 / SSR of the level on the rest.
+    rest = x[:, 1:]
+    partial = x[:, 0] - rest @ np.linalg.lstsq(rest, x[:, 0], rcond=None)[0]
+    return beta, resid, math.sqrt(s2 / float(partial @ partial))
+
+
+def _oracle_adf(y, kind, max_lags):
+    best, best_aic = None, math.inf
+    for k in range(max_lags + 1):
+        x, lhs = _oracle_design(y, kind, k, max_lags)
+        _, resid, _ = _oracle_fit(x, lhs)
+        nobs = x.shape[0]
+        aic = nobs * math.log(float(resid @ resid) / nobs) + 2.0 * x.shape[1]
+        if aic < best_aic:
+            best, best_aic = k, aic
+    x, lhs = _oracle_design(y, kind, best, best)
+    beta, _, se = _oracle_fit(x, lhs)
+    return best, beta[0] / se
+
+
+def _oracle_pp(y, kind, bandwidth):
+    x, lhs = _oracle_design(y, kind, 0, 0)
+    beta, e, se = _oracle_fit(x, lhs)
+    nobs, k = x.shape
+    gamma0 = float(e @ e) / nobs
+    lam2 = gamma0
+    for j in range(1, bandwidth + 1):
+        acc = 0.0
+        for t in range(j, nobs):
+            acc += e[t] * e[t - j]
+        lam2 += 2.0 * (1.0 - j / (bandwidth + 1.0)) * acc / nobs
+    s = math.sqrt(float(e @ e) / (nobs - k))
+    t_stat = beta[0] / se
+    return math.sqrt(gamma0 / lam2) * t_stat - 0.5 * (lam2 - gamma0) / math.sqrt(
+        lam2
+    ) * (nobs * se / s)
+
+
+class TestLstsqOracle:
+    """adf_test and pp_test against an independent, unscaled lstsq oracle."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_SERIES))
+    @pytest.mark.parametrize("kind", DETERMINISTIC_KINDS)
+    def test_adf_aic_lag_and_t_ratio(self, name, kind):
+        for seed in range(3):
+            y = ORACLE_SERIES[name](seed)
+            for max_lags in (4, 12):
+                ours = adf_test(y, kind, max_lags=max_lags)
+                lag, t_stat = _oracle_adf(y.values, kind, max_lags)
+                assert ours.lags_or_bandwidth == lag
+                assert ours.statistic == pytest.approx(t_stat, abs=1e-8)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_SERIES))
+    @pytest.mark.parametrize("kind", DETERMINISTIC_KINDS)
+    def test_pp_z_tau(self, name, kind):
+        for seed in range(3):
+            y = ORACLE_SERIES[name](seed)
+            for bandwidth in (0, 3, 14):
+                ours = pp_test(y, kind, bandwidth=bandwidth)
+                assert ours.statistic == pytest.approx(
+                    _oracle_pp(y.values, kind, bandwidth), abs=1e-8
+                )
+
+
 class TestUnitRootReport:
     def _kwargs(self):
         return dict(
