@@ -9,8 +9,9 @@ Six batch commands over the pipeline:
   simulate       write a synthetic dataset generated by the model
   montecarlo     simulation-estimation validation summary
 
-Every command accepts ``--config <json>`` plus flag overrides; flags win.
-Exit status: 0 success, 2 invalid input or parameters, 3 numerical
+All but ``simulate`` take ``--config <json>`` plus flag overrides (flags
+win), each for only the settings it reads (see ``build_parser``). Exit
+status: 0 success, 2 invalid input or parameters, 3 numerical
 degeneracy. Reports go to stdout unless ``--output`` names a file.
 """
 
@@ -26,23 +27,24 @@ from .series import MonthStamp
 
 __all__ = ["main", "build_parser"]
 
-_CONFIG_KEYS = (
-    "phi_annual",
-    "lags",
-    "max_lags",
-    "bandwidth",
-    "trend_origin",
-    "output_format",
-)
+_SETTING_FLAGS = {
+    "phi_annual": ("--phi-annual", {"type": float}),
+    "lags": ("--lags", {"type": int, "help": "fixed ADF augmentation order"}),
+    "max_lags": ("--max-lags", {"type": int}),
+    "bandwidth": ("--bandwidth", {"type": int, "help": "fixed kernel bandwidth"}),
+    "trend_origin": ("--trend-origin", {
+        "metavar": "YYYY-MM", "help": "month anchoring the trend index t = 0"}),
+    "output_format": ("--format", {"choices": ("json", "csv")}),
+}
 
 
 def _load_config(args: argparse.Namespace) -> pipeline.PipelineConfig:
     """Merge defaults, the optional config file, and command-line flags."""
     values: dict = {}
-    path = getattr(args, "config", None)
+    path = args.config
     if path:
         try:
-            with open(path, encoding="utf-8") as handle:
+            with open(path, encoding="utf-8-sig") as handle:
                 loaded = json.load(handle)
         except OSError as exc:
             raise ParameterError(f"cannot read config {path}: {exc}") from None
@@ -50,12 +52,14 @@ def _load_config(args: argparse.Namespace) -> pipeline.PipelineConfig:
             raise ParameterError(f"config {path} is not valid JSON: {exc}") from None
         if not isinstance(loaded, dict):
             raise ParameterError(f"config {path} must hold a JSON object")
-        unknown = set(loaded) - set(_CONFIG_KEYS)
+        unknown = set(loaded) - set(args.settings)
         if unknown:
-            raise ParameterError(f"unknown config keys: {sorted(unknown)}")
+            raise ParameterError(
+                f"unknown config keys for {args.command}: {sorted(unknown)}"
+            )
         values.update(loaded)
-    for key in _CONFIG_KEYS:
-        flag = getattr(args, key, None)
+    for key in args.settings:
+        flag = getattr(args, key)
         if flag is not None:
             values[key] = flag
     origin = values.get("trend_origin")
@@ -66,8 +70,11 @@ def _load_config(args: argparse.Namespace) -> pipeline.PipelineConfig:
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        with open(output, "w", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(output, "w", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ParameterError(f"cannot write {output}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -158,20 +165,13 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_config_flags(cmd: argparse.ArgumentParser) -> None:
+def _add_config_flags(cmd: argparse.ArgumentParser, settings: tuple) -> None:
     cmd.add_argument("--config", metavar="PATH", help="JSON settings file")
-    cmd.add_argument("--phi-annual", dest="phi_annual", type=float)
-    cmd.add_argument("--lags", type=int, help="fixed ADF augmentation order")
-    cmd.add_argument("--max-lags", dest="max_lags", type=int)
-    cmd.add_argument("--bandwidth", type=int, help="fixed kernel bandwidth")
-    cmd.add_argument(
-        "--trend-origin", dest="trend_origin", metavar="YYYY-MM",
-        help="month anchoring the trend index t = 0",
-    )
-    cmd.add_argument(
-        "--format", dest="output_format", choices=("json", "csv"),
-    )
+    for key in settings:
+        flag, options = _SETTING_FLAGS[key]
+        cmd.add_argument(flag, dest=key, **options)
     cmd.add_argument("--output", metavar="PATH", help="write here instead of stdout")
+    cmd.set_defaults(settings=settings)
 
 
 def _add_dgp_flags(cmd: argparse.ArgumentParser) -> None:
@@ -192,16 +192,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, handler, needs_data in (
-        ("ingest-check", _cmd_ingest_check, True),
-        ("unit-root", _cmd_unit_root, True),
-        ("estimate", _cmd_estimate, True),
-        ("delta-path", _cmd_delta_path, True),
+    # The settings each data command reads, hence the only ones it accepts.
+    for name, handler, settings in (
+        ("ingest-check", _cmd_ingest_check, ("output_format",)),
+        ("unit-root", _cmd_unit_root,
+         ("phi_annual", "lags", "max_lags", "bandwidth", "output_format")),
+        ("estimate", _cmd_estimate, tuple(_SETTING_FLAGS)),
+        ("delta-path", _cmd_delta_path, ("phi_annual", "bandwidth", "trend_origin")),
     ):
         cmd = sub.add_parser(name)
-        if needs_data:
-            cmd.add_argument("data", help="input CSV file")
-        _add_config_flags(cmd)
+        cmd.add_argument("data", help="input CSV file")
+        _add_config_flags(cmd, settings)
         cmd.set_defaults(handler=handler)
 
     sim = sub.add_parser("simulate")
@@ -217,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--seeds", type=int, required=True, help="number of replications")
     _add_dgp_flags(mc)
     mc.add_argument("--seed-base", dest="seed_base", type=int, default=0)
-    _add_config_flags(mc)
+    _add_config_flags(mc, ("output_format",))
     mc.set_defaults(handler=_cmd_montecarlo)
 
     return parser

@@ -106,6 +106,16 @@ class PipelineConfig:
     output_format: str = "json"
 
     def __post_init__(self) -> None:
+        # Settings may come from a JSON file, so types are checked first.
+        for name in ("lags", "max_lags", "bandwidth"):
+            value = getattr(self, name)  # exactly int: a bool is refused too
+            if type(value) is not int and (value is not None or name == "max_lags"):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
+        phi, origin = self.phi_annual, self.trend_origin
+        if isinstance(phi, bool) or not isinstance(phi, (int, float)):
+            raise ParameterError(f"phi_annual must be a number, got {phi!r}")
+        if origin is not None and not isinstance(origin, MonthStamp):
+            raise ParameterError(f"trend_origin must be a month, got {origin!r}")
         if not math.isfinite(self.phi_annual) or self.phi_annual <= -1.0:
             raise ParameterError(f"phi_annual must exceed -1, got {self.phi_annual}")
         if self.lags is not None and self.lags < 0:
@@ -119,15 +129,11 @@ class PipelineConfig:
                 f"output_format must be json or csv, got {self.output_format!r}"
             )
 
-    def resolved_origin(self, first: MonthStamp) -> MonthStamp:
+    def resolved_origin(self, first: MonthStamp | None) -> MonthStamp | None:
         return self.trend_origin if self.trend_origin is not None else first
 
     def metadata(self, first: MonthStamp | None = None) -> dict:
-        origin = None
-        if self.trend_origin is not None:
-            origin = str(self.trend_origin)
-        elif first is not None:
-            origin = str(first)
+        origin = self.resolved_origin(first)
         return {
             "phi_annual": self.phi_annual,
             "lag_policy": "fixed" if self.lags is not None else "aic",
@@ -135,7 +141,7 @@ class PipelineConfig:
             "max_lags": self.max_lags,
             "bandwidth_policy": "fixed" if self.bandwidth is not None else "newey_west",
             "bandwidth": self.bandwidth,
-            "trend_origin": origin,
+            "trend_origin": None if origin is None else str(origin),
             "output_format": self.output_format,
         }
 

@@ -7,6 +7,8 @@ round trip simulate -> file -> analyze is exercised along the way.
 """
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +28,14 @@ DATASET_HEADER = "date,m_dom,m_eur,fx,i_dom,i_eur"
 def simulate_args(path, seed, n=171):
     return ["simulate", "--n", str(n), *TABLE_FLAGS,
             "--seed", str(seed), "--output", str(path)]
+
+
+def exit_code(argv):
+    """``main``'s status, counting argparse rejections (SystemExit) too."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +173,13 @@ class TestEstimate:
         assert capsys.readouterr().out == ""
         assert path.read_text() == streamed
 
+    def test_unwritable_output_exits_2(self, dataset, tmp_path, capsys):
+        target = tmp_path / "no-such-dir" / "report.json"
+        assert main(["estimate", dataset, "--output", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write")
+        assert len(err.splitlines()) == 1
+
     def test_csv_format(self, dataset, capsys):
         assert main(["estimate", dataset, "--format", "csv"]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -243,6 +260,37 @@ class TestConfigHandling:
         cfg.write_text(json.dumps({"bandwith": 6}))  # typo'd key
         assert main(["estimate", dataset, "--config", str(cfg)]) == 2
         assert "unknown config keys" in capsys.readouterr().err
+        # A real setting is still unknown to a command that does not read it.
+        cfg.write_text(json.dumps({"lags": 2}))
+        assert main([*TestMontecarlo.MC_ARGS, "--config", str(cfg)]) == 2
+        assert "unknown config keys for montecarlo" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("settings", [
+        {"lags": "abc"},
+        {"max_lags": None},
+        {"phi_annual": "x"},
+        {"trend_origin": 5},
+        {"lags": 2.5},
+        {"lags": True},
+    ])
+    def test_mistyped_setting_exits_2(self, dataset, tmp_path, capsys, settings):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(settings))
+        assert main(["estimate", dataset, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert len(err.splitlines()) == 1
+
+    def test_bom_config_matches_plain(self, dataset, tmp_path, capsys):
+        text = json.dumps({"lags": 2, "bandwidth": 6})
+        plain = tmp_path / "plain.json"
+        plain.write_text(text, encoding="utf-8")
+        bom = tmp_path / "bom.json"
+        bom.write_text(text, encoding="utf-8-sig")
+        assert main(["estimate", dataset, "--config", str(plain)]) == 0
+        expected = capsys.readouterr().out
+        assert main(["estimate", dataset, "--config", str(bom)]) == 0
+        assert capsys.readouterr().out == expected
 
     def test_malformed_config_json_exits_2(self, dataset, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -282,6 +330,58 @@ class TestConfigHandling:
         cfg.write_text(json.dumps({"output_format": "csv"}))
         assert main(["estimate", dataset, "--config", str(cfg)]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "section,key,value"
+
+
+# The settings each command reads; it must refuse every other one.
+SETTINGS_READ = {
+    "ingest-check": {"output_format"},
+    "unit-root": {"phi_annual", "lags", "max_lags", "bandwidth", "output_format"},
+    "estimate": {"phi_annual", "lags", "max_lags", "bandwidth", "trend_origin",
+                 "output_format"},
+    "delta-path": {"phi_annual", "bandwidth", "trend_origin"},
+    "montecarlo": {"output_format"},
+}
+# A valid non-default value for each setting, as flag and as config entry.
+SETTING_VALUES = {
+    "phi_annual": ("--phi-annual", 0.02),
+    "lags": ("--lags", 2),
+    "max_lags": ("--max-lags", 6),
+    "bandwidth": ("--bandwidth", 5),
+    "trend_origin": ("--trend-origin", "2000-01"),
+    "output_format": ("--format", "csv"),
+}
+
+
+class TestSettingsTable:
+    @pytest.mark.parametrize("command", sorted(SETTINGS_READ))
+    @pytest.mark.parametrize("setting", sorted(SETTING_VALUES))
+    def test_command_accepts_only_settings_it_reads(
+        self, dataset, tmp_path, capsys, command, setting
+    ):
+        base = (TestMontecarlo.MC_ARGS if command == "montecarlo"
+                else [command, dataset])
+        flag, value = SETTING_VALUES[setting]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({setting: value}))
+        via_flag = exit_code([*base, flag, str(value)])
+        flag_out = capsys.readouterr().out
+        via_config = exit_code([*base, "--config", str(cfg)])
+        config_out = capsys.readouterr().out
+        if setting in SETTINGS_READ[command]:
+            assert (via_flag, via_config) == (0, 0)
+            assert flag_out == config_out
+        else:
+            assert (via_flag, via_config) == (2, 2)
+
+
+class TestReadme:
+    def test_python_api_block_runs(self, tmp_path, monkeypatch, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
+        assert main(simulate_args(tmp_path / "demo.csv", seed=7)) == 0
+        monkeypatch.chdir(tmp_path)
+        exec(compile(block, "README.md", "exec"), {})
+        assert len(capsys.readouterr().out.splitlines()) == 3
 
 
 class TestMontecarlo:

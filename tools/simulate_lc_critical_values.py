@@ -263,7 +263,7 @@ def main(argv: list[str] | None = None) -> int:
 
     print("\nLC_CRITICAL_VALUES = {")
     for config, row in table.items():
-        print(f"    {config.upper().replace('_TREND', '_TREND')!s}: {{")
+        print(f"    {config.upper()}: {{")
         for prob in TAIL_PROBS:
             print(f"        {prob}: {row[prob]:.4f},")
         print("    },")
