@@ -1,4 +1,5 @@
-"""Least squares via scaled QR, shared by the unit-root and FMOLS code.
+"""Least squares via scaled QR, and the polynomial trend columns, shared
+by the unit-root and FMOLS code.
 
 Regressor columns are rescaled to unit root-mean-square before the QR
 factorization: quadratic trend columns otherwise push the moment matrix
@@ -13,7 +14,7 @@ import numpy as np
 
 from .errors import DataError, DegeneracyError
 
-__all__ = ["OlsFit", "scaled_qr", "solve_ols"]
+__all__ = ["OlsFit", "polynomial_trend", "scaled_qr", "solve_ols"]
 
 
 @dataclass(frozen=True)
@@ -40,6 +41,11 @@ class OlsFit:
 
     def standard_errors(self) -> np.ndarray:
         return np.sqrt(self.sigma2 * np.diag(self.xtx_inv))
+
+
+def polynomial_trend(t: np.ndarray, degree: int) -> np.ndarray:
+    """The columns 1, t, ..., t^degree of a deterministic trend."""
+    return np.vander(t, degree + 1, increasing=True)
 
 
 def scaled_qr(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -11,7 +11,7 @@ Six batch commands over the pipeline:
 
 All but ``simulate`` take ``--config <json>`` plus flag overrides (flags
 win), each for only the settings it reads (see ``build_parser``). Exit
-status: 0 success, 2 invalid input or parameters, 3 numerical
+status: 0 success, 2 invalid input, parameters or usage, 3 numerical
 degeneracy. Reports go to stdout unless ``--output`` names a file.
 """
 
@@ -185,8 +185,19 @@ def _add_dgp_flags(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--eps-sd", dest="eps_sd", type=float, default=0.05)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Takes each flag only as spelled; a usage error raises ParameterError."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message: str):
+        raise ParameterError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # Subparsers are built with the parent's class, so they inherit both.
+    parser = _Parser(
         prog="currsub",
         description="Currency-substitution money demand analysis pipeline.",
     )
@@ -225,8 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except DegeneracyError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._ols import scaled_qr, solve_ols
+from ._ols import polynomial_trend, scaled_qr, solve_ols
 from .errors import DataError, DegeneracyError, ParameterError
 from .lrcov import LongRunCovariance, long_run_cov
 from .model import TrendCoefficients
@@ -41,13 +41,10 @@ __all__ = [
 CONST = "const"
 LINEAR_TREND = "linear_trend"
 QUADRATIC_TREND = "quadratic_trend"
-DETERMINISTIC_CONFIGS = (CONST, LINEAR_TREND, QUADRATIC_TREND)
-
-_PARAM_NAMES = {
-    CONST: ("v0", "sigma"),
-    LINEAR_TREND: ("v0", "v1", "sigma"),
-    QUADRATIC_TREND: ("v0", "v1", "v2", "sigma"),
-}
+# Degree of the trend polynomial each configuration fits; its
+# coefficients are named v0..v<degree>, the spread's sigma.
+_TREND_DEGREE = {CONST: 0, LINEAR_TREND: 1, QUADRATIC_TREND: 2}
+DETERMINISTIC_CONFIGS = tuple(_TREND_DEGREE)
 
 LC_TAIL_PROBS = (0.20, 0.15, 0.10, 0.075, 0.05, 0.025, 0.01)
 
@@ -94,6 +91,10 @@ def _check_config(deterministics: str) -> str:
             f"got {deterministics!r}"
         )
     return deterministics
+
+
+def _param_names(deterministics: str) -> tuple[str, ...]:
+    return (*(f"v{j}" for j in range(_TREND_DEGREE[deterministics] + 1)), "sigma")
 
 
 def lc_critical_value(deterministics: str, tail_prob: float) -> float:
@@ -207,7 +208,7 @@ class FmolsReport:
 
     def __post_init__(self) -> None:
         _check_config(self.deterministics)
-        names = _PARAM_NAMES[self.deterministics]
+        names = _param_names(self.deterministics)
         for mapping in (self.params, self.standard_errors, self.t_statistics):
             if tuple(mapping) != names:
                 raise ParameterError(
@@ -247,15 +248,6 @@ class FmolsReport:
         return TrendCoefficients(v0=self.v0, v1=self.v1, v2=self.v2, sigma=self.sigma)
 
 
-def _trend_columns(deterministics: str, t: np.ndarray) -> np.ndarray:
-    cols = [np.ones_like(t)]
-    if deterministics in (LINEAR_TREND, QUADRATIC_TREND):
-        cols.append(t)
-    if deterministics == QUADRATIC_TREND:
-        cols.append(t * t)
-    return np.column_stack(cols)
-
-
 def fmols(
     y: MonthlySeries,
     x: MonthlySeries,
@@ -280,7 +272,7 @@ def fmols(
 
     offset = 0 if trend_origin is None else y.start.index - trend_origin.index
     t = np.arange(n, dtype=float) + float(offset)
-    z = np.column_stack([_trend_columns(deterministics, t), x.values])
+    z = np.column_stack([polynomial_trend(t, _TREND_DEGREE[deterministics]), x.values])
     k = z.shape[1]
 
     first = solve_ols(z, y.values)
@@ -308,7 +300,7 @@ def fmols(
     theta = theta_t / scale
 
     omega112 = float(max(w11 - w12 * w12 / w22, 0.0))
-    names = _PARAM_NAMES[deterministics]
+    names = _param_names(deterministics)
     params = dict(zip(names, (float(b) for b in theta)))
 
     # Exact or near-exact fits leave no long-run error variance to divide

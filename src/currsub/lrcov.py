@@ -60,11 +60,8 @@ class LongRunCovariance:
     lam: np.ndarray = field(repr=False)
     gamma0: np.ndarray = field(repr=False)
     bandwidth: int
-    kernel: str = "bartlett"
 
     def __post_init__(self) -> None:
-        if self.kernel != "bartlett":
-            raise ParameterError(f"unsupported kernel {self.kernel!r}")
         if self.bandwidth < 0:
             raise ParameterError(f"bandwidth must be >= 0, got {self.bandwidth}")
         omega = np.array(self.omega, dtype=float)

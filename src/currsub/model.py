@@ -225,6 +225,26 @@ def _ces_power(m_real: float, ms_real: float, delta: float, g: float) -> float:
     return delta * m_real**g + (1.0 - delta) * ms_real**g
 
 
+def _foc_gap(
+    x_real: float, m_real: float, ms_real: float, delta: float, oc: float,
+    params: ModelParams, own_share: float, own_balance: float,
+) -> float:
+    """One currency's FOC residual, given its own CES share and real balance."""
+    x_real, m_real, ms_real = float(x_real), float(m_real), float(ms_real)
+    delta, oc = float(delta), float(oc)
+    _check_ces_domain(m_real, ms_real, delta, params.sigma)
+    if x_real <= 0.0:
+        raise ParameterError(f"consumption must be > 0, got {x_real}")
+    if oc <= 0.0:
+        raise ParameterError(f"opportunity cost must be > 0, got {oc}")
+    g = _gamma(params.sigma)
+    benefit = (params.theta / (1.0 - params.theta)) * x_real / _ces_power(
+        m_real, ms_real, delta, g
+    )
+    cost = (oc / own_share) * own_balance ** (1.0 - g)
+    return benefit - cost
+
+
 def foc_money_gap(
     x_real: float,
     m_real: float,
@@ -239,19 +259,9 @@ def foc_money_gap(
     (theta/(1-theta)) * {delta*m^g + (1-delta)*ms^g}^(-1) * x
     - (oc/delta) * m^(1-g); zero exactly when the condition holds.
     """
-    x_real, m_real, ms_real = float(x_real), float(m_real), float(ms_real)
-    delta, oc_domestic = float(delta), float(oc_domestic)
-    _check_ces_domain(m_real, ms_real, delta, params.sigma)
-    if x_real <= 0.0:
-        raise ParameterError(f"consumption must be > 0, got {x_real}")
-    if oc_domestic <= 0.0:
-        raise ParameterError(f"opportunity cost must be > 0, got {oc_domestic}")
-    g = _gamma(params.sigma)
-    benefit = (params.theta / (1.0 - params.theta)) * x_real / _ces_power(
-        m_real, ms_real, delta, g
+    return _foc_gap(
+        x_real, m_real, ms_real, delta, oc_domestic, params, float(delta), float(m_real)
     )
-    cost = (oc_domestic / delta) * m_real ** (1.0 - g)
-    return benefit - cost
 
 
 def foc_euro_gap(
@@ -268,19 +278,9 @@ def foc_euro_gap(
     the euro balance in the cost term; the benefit term is identical,
     which is what ties the two conditions into one demand equation.
     """
-    x_real, m_real, ms_real = float(x_real), float(m_real), float(ms_real)
-    delta, oc_foreign = float(delta), float(oc_foreign)
-    _check_ces_domain(m_real, ms_real, delta, params.sigma)
-    if x_real <= 0.0:
-        raise ParameterError(f"consumption must be > 0, got {x_real}")
-    if oc_foreign <= 0.0:
-        raise ParameterError(f"opportunity cost must be > 0, got {oc_foreign}")
-    g = _gamma(params.sigma)
-    benefit = (params.theta / (1.0 - params.theta)) * x_real / _ces_power(
-        m_real, ms_real, delta, g
+    return _foc_gap(
+        x_real, m_real, ms_real, delta, oc_foreign, params, 1.0 - float(delta), float(ms_real)
     )
-    cost = (oc_foreign / (1.0 - delta)) * ms_real ** (1.0 - g)
-    return benefit - cost
 
 
 def relative_demand_log(

@@ -15,6 +15,7 @@ report files diffable.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -336,8 +337,6 @@ def run_estimation(derived: DerivedSeries, config: PipelineConfig) -> Estimation
     """
     y = derived.log_money_ratio
     x = derived.oc_spread_log
-    if len(y) < 30:
-        raise DataError(f"need at least 30 observations, got {len(y)}")
     origin = config.resolved_origin(y.start)
     report = coint.fmols(
         y,
@@ -438,11 +437,14 @@ def run_montecarlo(mc: MonteCarloConfig) -> dict:
     }
 
 
+# The constant euro-area rate (percent per annum) and domestic money stock
+# (lei) of a simulated dataset.
+_SIM_I_EUR_ANNUAL_PCT = 4.0
+_SIM_M_DOM_LEVEL = 1.0e10
+
+
 def dataset_rows_from_simulation(
-    sim: model.SimulatedDgp,
-    phi_annual: float = 0.01,
-    i_eur_annual_pct: float = 4.0,
-    m_dom_level: float = 1.0e10,
+    sim: model.SimulatedDgp, phi_annual: float = 0.01
 ) -> tuple[DatasetRow, ...]:
     """Invert the derivation: wrap a simulated draw as a raw dataset.
 
@@ -453,7 +455,7 @@ def dataset_rows_from_simulation(
     rounding.
     """
     phi_monthly = model.annual_to_monthly_cost(phi_annual)
-    i_for_monthly = _annual_pct_to_monthly(i_eur_annual_pct)
+    i_for_monthly = _annual_pct_to_monthly(_SIM_I_EUR_ANNUAL_PCT)
     oc_for = model.opportunity_cost(i_for_monthly, phi_monthly)
     rows = []
     dates = sim.log_money_ratio.dates()
@@ -466,11 +468,11 @@ def dataset_rows_from_simulation(
         rows.append(
             DatasetRow(
                 date=date,
-                m_dom=m_dom_level,
-                m_eur=m_dom_level * math.exp(sim.log_money_ratio.values[k]),
+                m_dom=_SIM_M_DOM_LEVEL,
+                m_eur=_SIM_M_DOM_LEVEL * math.exp(sim.log_money_ratio.values[k]),
                 fx=1.0,
                 i_dom=i_dom_annual_pct,
-                i_eur=i_eur_annual_pct,
+                i_eur=_SIM_I_EUR_ANNUAL_PCT,
             )
         )
     return tuple(rows)
@@ -524,21 +526,6 @@ def _round_floats(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _unit_root_entry(run: UnitRootRun) -> dict:
-    report = run.report
-    return {
-        "series": run.series,
-        "test": report.test,
-        "spec": report.spec,
-        "statistic": report.statistic,
-        "lags_or_bandwidth": report.lags_or_bandwidth,
-        "critical_values": dict(report.critical_values),
-        "approx_p_value": report.approx_p_value,
-        "reject_at": dict(report.reject_at),
-        "n_obs": report.n_obs,
-    }
-
-
 def _fmols_entry(report: coint.FmolsReport) -> dict:
     return {
         "deterministics": report.deterministics,
@@ -580,7 +567,9 @@ def build_report(
         "correlation": None,
     }
     if unit_roots is not None:
-        doc["unit_roots"] = [_unit_root_entry(run) for run in unit_roots]
+        doc["unit_roots"] = [
+            {"series": run.series, **dataclasses.asdict(run.report)} for run in unit_roots
+        ]
     if estimation is not None:
         doc["fmols"] = _fmols_entry(estimation.fmols)
         doc["delta_path"] = [

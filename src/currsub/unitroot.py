@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._ols import OlsFit, solve_ols
+from ._ols import OlsFit, polynomial_trend, solve_ols
 from .errors import DataError, DegeneracyError, ParameterError
 from .lrcov import bartlett_long_run_variance, newey_west_bandwidth
 from .series import MonthlySeries
@@ -33,7 +33,9 @@ __all__ = [
 
 INTERCEPT = "intercept"
 TREND_AND_INTERCEPT = "trend_and_intercept"
-DETERMINISTIC_KINDS = (INTERCEPT, TREND_AND_INTERCEPT)
+# Degree of the trend polynomial in t = 1..n that each spec adds.
+_TREND_DEGREE = {INTERCEPT: 0, TREND_AND_INTERCEPT: 1}
+DETERMINISTIC_KINDS = tuple(_TREND_DEGREE)
 
 SIGNIFICANCE_LEVELS = ("1%", "5%", "10%")
 
@@ -161,13 +163,6 @@ def _report(test: str, kind: str, statistic: float, lags_or_bw: int, nobs: int) 
     )
 
 
-def _deterministics(kind: str, nrows: int) -> np.ndarray:
-    cols = [np.ones(nrows)]
-    if kind == TREND_AND_INTERCEPT:
-        cols.append(np.arange(1.0, nrows + 1.0))
-    return np.column_stack(cols)
-
-
 def _df_regression(y: np.ndarray, kind: str, lag: int, trim: int) -> OlsFit:
     """Dickey-Fuller regression with ``lag`` augmentation terms.
 
@@ -180,7 +175,8 @@ def _df_regression(y: np.ndarray, kind: str, lag: int, trim: int) -> OlsFit:
     cols = [y[rows]]
     for j in range(1, lag + 1):
         cols.append(dy[rows - j])
-    x = np.column_stack(cols + [_deterministics(kind, rows.size)])
+    trend = polynomial_trend(np.arange(1.0, rows.size + 1.0), _TREND_DEGREE[kind])
+    x = np.column_stack(cols + [trend])
     return solve_ols(x, lhs)
 
 

@@ -417,3 +417,31 @@ class TestMontecarlo:
     def test_too_short_sample_exits_2(self, capsys):
         argv = ["montecarlo", "--seeds", "10", "--n", "10", *TABLE_FLAGS]
         assert main(argv) == 2
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv, message", [
+        ([*TestMontecarlo.MC_ARGS, "--lags", "3"], "unrecognized arguments: --lags 3"),
+        (["estimate"], "required: data"),
+        (["estimate", "DATA", "--format", "xml"], "invalid choice: 'xml'"),
+        ([], "required: command"),
+        # Abbreviated flags are refused, not expanded.
+        (["estimate", "DATA", "--max", "3", "--band", "4"],
+         "unrecognized arguments: --max 3 --band 4"),
+        ([*TestMontecarlo.MC_ARGS, "--seed", "5"], "unrecognized arguments: --seed 5"),
+    ], ids=["unread-flag", "no-data", "bad-format", "no-command", "abbreviations",
+            "ambiguous-abbreviation"])
+    def test_one_error_line(self, dataset, capsys, argv, message):
+        argv = [dataset if arg == "DATA" else arg for arg in argv]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+        assert message in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["estimate", "--help"]],
+                             ids=["top", "estimate"])
+    def test_help_exits_0(self, capsys, argv):
+        assert exit_code(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: currsub")

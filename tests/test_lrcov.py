@@ -96,7 +96,6 @@ class TestLongRunCov:
         u = rng.standard_normal(171)
         lrc = long_run_cov(u, u + rng.standard_normal(171))
         assert lrc.bandwidth == newey_west_bandwidth(171)
-        assert lrc.kernel == "bartlett"
 
     def test_accepts_monthly_series(self):
         from currsub.series import MonthStamp, MonthlySeries
@@ -146,13 +145,6 @@ class TestLongRunCovarianceType:
         eye = np.eye(2)
         with pytest.raises(ParameterError, match="lam"):
             LongRunCovariance(omega=eye, lam=2.0 * eye, gamma0=eye, bandwidth=0)
-
-    def test_unknown_kernel_rejected(self):
-        eye = np.eye(2)
-        with pytest.raises(ParameterError, match="kernel"):
-            LongRunCovariance(
-                omega=eye, lam=eye, gamma0=eye, bandwidth=0, kernel="parzen"
-            )
 
 
 class TestBartlettLongRunVariance:

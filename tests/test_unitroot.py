@@ -248,9 +248,14 @@ def _oracle_adf(y, kind, max_lags):
         aic = nobs * math.log(float(resid @ resid) / nobs) + 2.0 * x.shape[1]
         if aic < best_aic:
             best, best_aic = k, aic
-    x, lhs = _oracle_design(y, kind, best, best)
+    return best, _oracle_fixed_lag(y, kind, best)[0]
+
+
+def _oracle_fixed_lag(y, kind, lag):
+    """(t-ratio on the level, rows) of the lag-``lag`` regression on its own sample."""
+    x, lhs = _oracle_design(y, kind, lag, lag)
     beta, _, se = _oracle_fit(x, lhs)
-    return best, beta[0] / se
+    return beta[0] / se, x.shape[0]
 
 
 def _oracle_pp(y, kind, bandwidth):
@@ -283,6 +288,18 @@ class TestLstsqOracle:
                 ours = adf_test(y, kind, max_lags=max_lags)
                 lag, t_stat = _oracle_adf(y.values, kind, max_lags)
                 assert ours.lags_or_bandwidth == lag
+                assert ours.statistic == pytest.approx(t_stat, abs=1e-8)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_SERIES))
+    @pytest.mark.parametrize("kind", DETERMINISTIC_KINDS)
+    def test_adf_fixed_lags(self, name, kind):
+        for seed in range(3):
+            y = ORACLE_SERIES[name](seed)
+            for lags in (0, 3):
+                ours = adf_test(y, kind, lags=lags)
+                t_stat, nobs = _oracle_fixed_lag(y.values, kind, lags)
+                assert ours.lags_or_bandwidth == lags
+                assert ours.n_obs == nobs
                 assert ours.statistic == pytest.approx(t_stat, abs=1e-8)
 
     @pytest.mark.parametrize("name", sorted(ORACLE_SERIES))
