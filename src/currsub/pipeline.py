@@ -77,7 +77,7 @@ class DatasetRow:
     i_eur: float
 
     def __post_init__(self) -> None:
-        for name in ("m_dom", "m_eur", "fx", "i_dom", "i_eur"):
+        for name in SCHEMA_EUR_FX[1:]:
             value = float(getattr(self, name))
             if not math.isfinite(value):
                 raise IngestionError(f"{self.date}: {name} is not finite")
@@ -119,12 +119,10 @@ class PipelineConfig:
             raise ParameterError(f"trend_origin must be a month, got {origin!r}")
         if not math.isfinite(self.phi_annual) or self.phi_annual <= -1.0:
             raise ParameterError(f"phi_annual must exceed -1, got {self.phi_annual}")
-        if self.lags is not None and self.lags < 0:
-            raise ParameterError(f"lags must be >= 0, got {self.lags}")
-        if self.max_lags < 0:
-            raise ParameterError(f"max_lags must be >= 0, got {self.max_lags}")
-        if self.bandwidth is not None and self.bandwidth < 0:
-            raise ParameterError(f"bandwidth must be >= 0, got {self.bandwidth}")
+        for name in ("lags", "max_lags", "bandwidth"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ParameterError(f"{name} must be >= 0, got {value}")
         if self.output_format not in ("json", "csv"):
             raise ParameterError(
                 f"output_format must be json or csv, got {self.output_format!r}"
@@ -197,6 +195,10 @@ def ingest_rows(text: str) -> tuple[tuple[DatasetRow, ...], str]:
     if reader.fieldnames is None:
         raise IngestionError("empty input: no header row")
     header = tuple(name.strip() for name in reader.fieldnames)
+    repeated = sorted({name for name in header if header.count(name) > 1})
+    if repeated:
+        raise IngestionError(f"repeated columns in header: {repeated}")
+    reader.fieldnames = list(header)  # records are keyed by the stripped names
     if set(header) == set(SCHEMA_EUR_FX):
         schema = "m_eur_fx"
     elif set(header) == set(SCHEMA_EUR_LEI):
@@ -306,26 +308,17 @@ def run_unit_roots(
     derived: DerivedSeries, config: PipelineConfig
 ) -> tuple[UnitRootRun, ...]:
     """The 2 series x 2 tests x 2 deterministic specs report grid."""
-    runs = []
-    for name in ("log_money_ratio", "oc_spread_log"):
-        series = getattr(derived, name)
-        for spec in unitroot.DETERMINISTIC_KINDS:
-            runs.append(
-                UnitRootRun(
-                    series=name,
-                    report=unitroot.adf_test(
-                        series, spec, lags=config.lags, max_lags=config.max_lags
-                    ),
-                )
-            )
-        for spec in unitroot.DETERMINISTIC_KINDS:
-            runs.append(
-                UnitRootRun(
-                    series=name,
-                    report=unitroot.pp_test(series, spec, bandwidth=config.bandwidth),
-                )
-            )
-    return tuple(runs)
+    # Looked up per call, so a wrapper swapped into unitroot is honoured.
+    tests = (
+        (unitroot.adf_test, {"lags": config.lags, "max_lags": config.max_lags}),
+        (unitroot.pp_test, {"bandwidth": config.bandwidth}),
+    )
+    return tuple(
+        UnitRootRun(series=name, report=test(getattr(derived, name), spec, **settings))
+        for name in ("log_money_ratio", "oc_spread_log")
+        for test, settings in tests
+        for spec in unitroot.DETERMINISTIC_KINDS
+    )
 
 
 def run_estimation(derived: DerivedSeries, config: PipelineConfig) -> EstimationResult:
@@ -396,44 +389,33 @@ def run_montecarlo(mc: MonteCarloConfig) -> dict:
     track false rejections and power at the 5% level. Seeds are
     seed_base + 0..n_seeds-1, so the summary is reproducible.
     """
-    estimates: dict[str, list[float]] = {"v0": [], "v1": [], "v2": [], "sigma": []}
-    lc_rejections = 0
-    adf_spread_rejections = 0
-    adf_eps_rejections = 0
+    truth = dataclasses.asdict(mc.coeffs)
+    estimates: dict[str, list[float]] = {name: [] for name in truth}
+    rejections = dict.fromkeys(
+        ("lc_reject_at_10pct", "adf_spread_reject_at_5pct", "adf_eps_reject_at_5pct"),
+        0,
+    )
     for k in range(mc.n_seeds):
         sim = model.simulate_dgp(mc.coeffs, mc.n_obs, mc.noise, mc.seed_base + k)
         report = coint.fmols(sim.log_money_ratio, sim.oc_spread_log)
         for name in estimates:
             estimates[name].append(report.params[name])
-        if report.lc_stable_at_10pct is False:
-            lc_rejections += 1
-        spread_adf = unitroot.adf_test(sim.oc_spread_log, unitroot.INTERCEPT)
-        if spread_adf.reject_at["5%"]:
-            adf_spread_rejections += 1
-        eps_adf = unitroot.adf_test(sim.eps, unitroot.INTERCEPT)
-        if eps_adf.reject_at["5%"]:
-            adf_eps_rejections += 1
+        rejections["lc_reject_at_10pct"] += report.lc_stable_at_10pct is False
+        for key, series in (
+            ("adf_spread_reject_at_5pct", sim.oc_spread_log),
+            ("adf_eps_reject_at_5pct", sim.eps),
+        ):
+            adf = unitroot.adf_test(series, unitroot.INTERCEPT)
+            rejections[key] += adf.reject_at["5%"]
 
-    truth = {
-        "v0": mc.coeffs.v0,
-        "v1": mc.coeffs.v1,
-        "v2": mc.coeffs.v2,
-        "sigma": mc.coeffs.sigma,
-    }
     return {
         "n_seeds": mc.n_seeds,
         "n_obs": mc.n_obs,
         "seed_base": mc.seed_base,
         "truth": truth,
-        "noise": {
-            "spread_sd": mc.noise.spread_sd,
-            "rho": mc.noise.rho,
-            "eps_sd": mc.noise.eps_sd,
-        },
+        "noise": dataclasses.asdict(mc.noise),
         "estimates": {name: _quartiles(vals) for name, vals in estimates.items()},
-        "lc_reject_at_10pct": lc_rejections / mc.n_seeds,
-        "adf_spread_reject_at_5pct": adf_spread_rejections / mc.n_seeds,
-        "adf_eps_reject_at_5pct": adf_eps_rejections / mc.n_seeds,
+        **{key: count / mc.n_seeds for key, count in rejections.items()},
     }
 
 
@@ -494,14 +476,8 @@ def dataset_csv_text(rows: tuple[DatasetRow, ...]) -> str:
     writer.writerow(SCHEMA_EUR_FX)
     for row in rows:
         writer.writerow(
-            [
-                str(row.date),
-                format(float(row.m_dom), ".12g"),
-                format(float(row.m_eur), ".12g"),
-                format(float(row.fx), ".12g"),
-                format(float(row.i_dom), ".12g"),
-                format(float(row.i_eur), ".12g"),
-            ]
+            [str(row.date)]
+            + [format(float(getattr(row, name)), ".12g") for name in SCHEMA_EUR_FX[1:]]
         )
     return out.getvalue()
 

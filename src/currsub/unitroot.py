@@ -246,16 +246,15 @@ def pp_test(
     if bandwidth is None:
         bandwidth = newey_west_bandwidth(nobs)
     bandwidth = int(bandwidth)
-    if bandwidth < 0:
-        raise ParameterError(f"bandwidth must be >= 0, got {bandwidth}")
     if bandwidth >= nobs:
         raise DataError(f"bandwidth {bandwidth} too large for {nobs} residuals")
+    # Its bandwidth check refuses a negative value before any degeneracy error.
+    lam2 = bartlett_long_run_variance(fit.resid, bandwidth)
 
     tstat = _t_on_level(fit)
     se_rho = fit.standard_errors()[0]
     s_hat = math.sqrt(fit.sigma2)
     gamma0 = fit.ssr / nobs
-    lam2 = bartlett_long_run_variance(fit.resid, bandwidth)
     if not lam2 > 0.0:
         raise DegeneracyError("long-run residual variance is zero")
     z_tau = math.sqrt(gamma0 / lam2) * tstat - 0.5 * (lam2 - gamma0) / math.sqrt(

@@ -132,6 +132,26 @@ class TestIngestCheck:
         assert main(["ingest-check", str(path)]) == 2
         assert "2001-10" in capsys.readouterr().err
 
+    def test_padded_header_exits_0(self, tmp_path, capsys):
+        path = tmp_path / "padded.csv"
+        path.write_text(
+            DATASET_HEADER.replace(",", ", ") + "\n"
+            "2001-09,100,50,2.5,30,4\n"
+        )
+        assert main(["ingest-check", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["rows"] == 1
+
+    def test_repeated_column_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "repeated.csv"
+        path.write_text(
+            DATASET_HEADER + ",i_eur\n"
+            "2001-09,100,50,2.5,30,4,5\n"
+        )
+        assert main(["ingest-check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "repeated" in err
+        assert len(err.splitlines()) == 1
+
 
 class TestUnitRoot:
     def test_grid_of_eight_runs(self, dataset, capsys):

@@ -57,3 +57,21 @@ def test_chunk_equals_fmols_lc(tool, config):
             bandwidth=0,
         )
         assert abs(rep.lc_statistic - batch[r]) < 1e-8
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--reps", "0"], "--reps must be >= 1, got 0"),
+        (["--reps", "-5"], "--reps must be >= 1, got -5"),
+        (["--chunk", "0"], "--chunk must be >= 1, got 0"),
+        (["--t", "3"], "--t must be >= 30, got 3"),
+    ],
+)
+def test_argument_floors_exit_2(tool, capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        tool.main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""  # refused before the package check prints anything
+    assert err.rstrip().endswith(f"error: {message}")

@@ -3,14 +3,19 @@
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from currsub import coint, model
 from currsub.errors import DataError, DegeneracyError, IngestionError, ParameterError
 from currsub.model import DgpNoise, TrendCoefficients, simulate_dgp
 from currsub.pipeline import (
+    SCHEMA_EUR_FX,
+    SCHEMA_EUR_LEI,
     DatasetRow,
     DerivedSeries,
     MonteCarloConfig,
@@ -116,6 +121,18 @@ class TestIngest:
         with pytest.raises(IngestionError, match="-99"):
             ingest_rows(text)
 
+    def test_padded_header_names_parse_like_plain(self):
+        header, body = CSV_FX.split("\n", 1)
+        padded = ", ".join(f" {name}" for name in header.split(",")) + " \n" + body
+        assert ingest_rows(padded) == ingest_rows(CSV_FX)
+
+    def test_repeated_column_rejected(self):
+        header, body = CSV_FX.split("\n", 1)
+        text = header + ",i_eur\n" + body.replace("\n", ",9.9\n")
+        message = "repeated columns in header: ['i_eur']"
+        with pytest.raises(IngestionError, match=f"^{re.escape(message)}$"):
+            ingest_rows(text)
+
     def test_unknown_header_rejected(self):
         with pytest.raises(IngestionError, match="header"):
             ingest_rows("date,a,b\n2001-09,1,2\n")
@@ -180,6 +197,91 @@ class TestIngest:
         assert len(digests) == 3
         assert rows["bom"] == rows["plain"] == rows["crlf"]
         assert bodies["bom"] == bodies["plain"] == bodies["crlf"]
+
+
+def _csv(columns, records, newline="\n", pad=""):
+    """CSV text of ``records`` (dicts of raw strings) in ``columns`` order."""
+    lines = [",".join(f"{pad}{name}{pad}" for name in columns)]
+    lines += [",".join(f"{pad}{rec[name]}{pad}" for name in columns) for rec in records]
+    return newline.join(lines) + newline
+
+
+@st.composite
+def _datasets(draw):
+    """(columns, records): a valid contiguous monthly dataset as raw strings."""
+    columns = draw(st.sampled_from([SCHEMA_EUR_FX, SCHEMA_EUR_LEI]))
+    start = MonthStamp(draw(st.integers(1990, 2030)), draw(st.integers(1, 12)))
+    positive = st.floats(1e-3, 1e12).map(repr)
+    rate = st.floats(-98.0, 500.0).map(repr)
+    records = []
+    for k in range(draw(st.integers(3, 8))):
+        rec = {"date": str(start.shift(k))}
+        for name in columns[1:]:
+            rec[name] = draw(rate if name.startswith("i_") else positive)
+        records.append(rec)
+    return columns, records
+
+
+_PROPERTY_SETTINGS = settings(
+    max_examples=40, derandomize=True, deadline=None, database=None
+)
+
+
+class TestIngestProperties:
+    @_PROPERTY_SETTINGS
+    @given(data=_datasets(), layout=st.data())
+    def test_layout_does_not_change_rows(self, data, layout):
+        columns, records = data
+        expected = ingest_rows(_csv(columns, records))
+        text = _csv(
+            layout.draw(st.permutations(columns)),
+            layout.draw(st.permutations(records)),
+            newline=layout.draw(st.sampled_from(["\n", "\r\n"])),
+            pad=layout.draw(st.sampled_from(["", " ", "  "])),
+        )
+        assert ingest_rows(text) == expected
+
+    @_PROPERTY_SETTINGS
+    @given(data=_datasets(), pick=st.data())
+    def test_gap_named(self, data, pick):
+        columns, records = data
+        k = pick.draw(st.integers(1, len(records) - 2))
+        before, missing, after = (records[j]["date"] for j in (k - 1, k, k + 1))
+        message = f"gap in months: missing {missing} between {before} and {after}"
+        with pytest.raises(IngestionError, match=f"^{re.escape(message)}$"):
+            ingest_rows(_csv(columns, records[:k] + records[k + 1 :]))
+
+    @_PROPERTY_SETTINGS
+    @given(data=_datasets(), pick=st.data())
+    def test_duplicate_month_named(self, data, pick):
+        columns, records = data
+        k = pick.draw(st.integers(0, len(records) - 1))
+        message = f"duplicate month {records[k]['date']}"
+        with pytest.raises(IngestionError, match=f"^{re.escape(message)}$"):
+            ingest_rows(_csv(columns, records + [dict(records[k])]))
+
+    @_PROPERTY_SETTINGS
+    @given(data=_datasets(), pick=st.data())
+    def test_non_finite_value_named(self, data, pick):
+        columns, records = data
+        k = pick.draw(st.integers(0, len(records) - 1))
+        name = pick.draw(st.sampled_from(columns[1:]))
+        records[k][name] = pick.draw(st.sampled_from(["nan", "inf", "-inf", "NaN"]))
+        field = "m_eur" if name == "m_eur_lei" else name
+        message = f"{records[k]['date']}: {field} is not finite"
+        with pytest.raises(IngestionError, match=f"^{re.escape(message)}$"):
+            ingest_rows(_csv(columns, records))
+
+    @_PROPERTY_SETTINGS
+    @given(data=_datasets(), pick=st.data())
+    def test_non_positive_stock_named(self, data, pick):
+        columns, records = data
+        k = pick.draw(st.integers(0, len(records) - 1))
+        name = pick.draw(st.sampled_from([c for c in columns if c.startswith("m_")]))
+        records[k][name] = repr(pick.draw(st.floats(-1e6, 0.0)))
+        message = f"{records[k]['date']}: money stocks must be > 0"
+        with pytest.raises(IngestionError, match=f"^{re.escape(message)}$"):
+            ingest_rows(_csv(columns, records))
 
 
 class TestDeriveSeries:
@@ -334,7 +436,41 @@ class TestRunEstimation:
         assert np.abs(moved.delta_ratio.values - base.delta_ratio.values).max() < 1e-8
 
 
+class TestPipelineConfig:
+    @pytest.mark.parametrize("name", ["lags", "max_lags", "bandwidth"])
+    def test_negative_setting_refused(self, name):
+        with pytest.raises(ParameterError, match=f"^{name} must be >= 0, got -1$"):
+            PipelineConfig(**{name: -1})
+
+
 class TestRunMonteCarlo:
+    def test_summary_key_order(self):
+        mc = MonteCarloConfig(n_seeds=10, n_obs=120, coeffs=TABLE_COEFFS, noise=NOISE)
+        summary = run_montecarlo(mc)
+        assert list(summary) == [
+            "n_seeds",
+            "n_obs",
+            "seed_base",
+            "truth",
+            "noise",
+            "estimates",
+            "lc_reject_at_10pct",
+            "adf_spread_reject_at_5pct",
+            "adf_eps_reject_at_5pct",
+        ]
+        assert list(summary["truth"].items()) == [
+            ("v0", TABLE_COEFFS.v0),
+            ("v1", TABLE_COEFFS.v1),
+            ("v2", TABLE_COEFFS.v2),
+            ("sigma", TABLE_COEFFS.sigma),
+        ]
+        assert list(summary["noise"].items()) == [
+            ("spread_sd", NOISE.spread_sd),
+            ("rho", NOISE.rho),
+            ("eps_sd", NOISE.eps_sd),
+        ]
+        assert list(summary["estimates"]) == ["v0", "v1", "v2", "sigma"]
+
     def test_summary_contents(self):
         mc = MonteCarloConfig(n_seeds=20, n_obs=171, coeffs=TABLE_COEFFS, noise=NOISE)
         summary = run_montecarlo(mc)

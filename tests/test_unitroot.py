@@ -203,6 +203,13 @@ class TestPp:
         with pytest.raises(DegeneracyError):
             pp_test(series(np.ones(100)))
 
+    def test_negative_bandwidth_refused_before_degeneracy(self):
+        y = series(2.0 ** np.arange(40))
+        with pytest.raises(ParameterError, match="bandwidth must be >= 0, got -1"):
+            pp_test(y, INTERCEPT, bandwidth=-1)
+        with pytest.raises(DegeneracyError):
+            pp_test(y, INTERCEPT, bandwidth=2)
+
 
 def ma2_series(seed, n, theta=(0.6, 0.3)):
     rng = np.random.default_rng(seed)

@@ -25,6 +25,8 @@ independent checks guard against transcription drift:
 Usage: python tools/simulate_lc_critical_values.py [--reps 100000]
            [--t 2000] [--seed 20260815] [--chunk 250] [--quick]
 
+--reps and --chunk must be at least 1 and --t at least 30 (exit 2 otherwise).
+
 Prints the dict literal to paste into currsub/coint.py.
 """
 
@@ -64,6 +66,21 @@ def _fit(d: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.nd
     return y - beta[:, :p] @ d.T - beta[:, p:] * x, mom
 
 
+def _draws(
+    rng: np.random.Generator, reps: int, t_len: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) from ``rng``: the (reps, t_len) standard normal increments
+    of x, then y likewise; each row of x is rescaled to unit RMS."""
+    x = np.cumsum(rng.standard_normal((reps, t_len)), axis=1)
+    y = rng.standard_normal((reps, t_len))
+    return x / np.sqrt((x * x).mean(axis=1, keepdims=True)), y
+
+
+def _chunk_sizes(reps: int, chunk: int) -> list[int]:
+    """Sizes of the chunk-sized pieces, the last one short, that sum to reps."""
+    return [min(chunk, reps - done) for done in range(0, reps, chunk)]
+
+
 def simulate_lc_chunk(
     rng: np.random.Generator, reps: int, t_len: int, powers: tuple[int, ...]
 ) -> np.ndarray:
@@ -74,17 +91,13 @@ def simulate_lc_chunk(
     one, so the serial-correlation bias term is identically zero and only
     the endogeneity correction to y survives.
 
-    Draws from ``rng``: the (reps, t_len) standard normal increments of
-    x, then y likewise; each row of x is rescaled to unit RMS.
+    The inputs come from ``_draws(rng, reps, t_len)``.
     """
     d = _deterministics(t_len, powers)
     p = d.shape[1]
     k = p + 1
     m = t_len - 1
-
-    x = np.cumsum(rng.standard_normal((reps, t_len)), axis=1)
-    y = rng.standard_normal((reps, t_len))
-    x = x / np.sqrt((x * x).mean(axis=1, keepdims=True))
+    x, y = _draws(rng, reps, t_len)
 
     resid, _ = _fit(d, x, y)
 
@@ -144,18 +157,11 @@ def run_validation(reps: int, t_len: int, chunk: int, seed: int) -> bool:
         "linear_trend": {0.10: 0.119, 0.05: 0.146, 0.01: 0.216},
     }
     rng = np.random.default_rng(seed)
+    sizes = _chunk_sizes(reps, chunk)
     for config in ("const", "linear_trend"):
         powers = CONFIG_TREND_POWERS[config]
-        lcs, scalars = [], []
-        done = 0
-        while done < reps:
-            size = min(chunk, reps - done)
-            lc, scalar = simulate_mean_case_chunk(rng, size, t_len, powers)
-            lcs.append(lc)
-            scalars.append(scalar)
-            done += size
-        scalar_all = np.concatenate(scalars)
-        lc_all = np.concatenate(lcs)
+        pieces = [simulate_mean_case_chunk(rng, s, t_len, powers) for s in sizes]
+        lc_all, scalar_all = (np.concatenate(part) for part in zip(*pieces))
         for prob, expect in known[config].items():
             got = float(np.quantile(scalar_all, 1.0 - prob))
             rel = abs(got - expect) / expect
@@ -188,25 +194,16 @@ def run_package_check(seed: int) -> bool:
     print("validation: batched arithmetic vs currsub.coint.fmols", flush=True)
     t_len = 171
     start = MonthStamp(2001, 9)
-    config_names = {
-        "const": coint.CONST,
-        "linear_trend": coint.LINEAR_TREND,
-        "quadratic_trend": coint.QUADRATIC_TREND,
-    }
     ok = True
     for config, powers in CONFIG_TREND_POWERS.items():
-        rng = np.random.default_rng(seed)
-        batch = simulate_lc_chunk(rng, 50, t_len, powers)
-        rng = np.random.default_rng(seed)
-        x = np.cumsum(rng.standard_normal((50, t_len)), axis=1)
-        y = rng.standard_normal((50, t_len))
-        x = x / np.sqrt((x * x).mean(axis=1, keepdims=True))
+        batch = simulate_lc_chunk(np.random.default_rng(seed), 50, t_len, powers)
+        x, y = _draws(np.random.default_rng(seed), 50, t_len)
         gaps = []
         for r in range(50):
             rep = coint.fmols(
                 MonthlySeries(start, y[r]),
                 MonthlySeries(start, x[r]),
-                deterministics=config_names[config],
+                deterministics=config,
                 bandwidth=0,
             )
             gaps.append(abs(rep.lc_statistic - batch[r]))
@@ -228,6 +225,14 @@ def main(argv: list[str] | None = None) -> int:
         "--quick", action="store_true", help="tiny run to exercise the code"
     )
     args = parser.parse_args(argv)
+    # --t floors at the 30 observations that coint.fmols requires.
+    for flag, value, floor in (
+        ("--reps", args.reps, 1),
+        ("--chunk", args.chunk, 1),
+        ("--t", args.t_len, 30),
+    ):
+        if value < floor:
+            parser.error(f"{flag} must be >= {floor}, got {value}")
     reps, t_len, chunk = args.reps, args.t_len, args.chunk
     if args.quick:
         reps, t_len, chunk = 2000, 300, 200
@@ -238,15 +243,10 @@ def main(argv: list[str] | None = None) -> int:
     print(f"simulating Lc null: reps={reps} T={t_len}", flush=True)
     table: dict[str, dict[float, float]] = {}
     anchors: dict[str, np.ndarray] = {}
+    sizes = _chunk_sizes(reps, chunk)
     for config, powers in CONFIG_TREND_POWERS.items():
         rng = np.random.default_rng(args.seed + 1 + len(powers))
-        draws = []
-        done = 0
-        while done < reps:
-            size = min(chunk, reps - done)
-            draws.append(simulate_lc_chunk(rng, size, t_len, powers))
-            done += size
-        sample = np.concatenate(draws)
+        sample = np.concatenate([simulate_lc_chunk(rng, s, t_len, powers) for s in sizes])
         anchors[config] = sample
         table[config] = {
             prob: float(np.quantile(sample, 1.0 - prob)) for prob in TAIL_PROBS
