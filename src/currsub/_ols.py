@@ -14,7 +14,15 @@ import numpy as np
 
 from .errors import DataError, DegeneracyError
 
-__all__ = ["OlsFit", "polynomial_trend", "scaled_qr", "solve_ols"]
+__all__ = [
+    "OlsFit",
+    "check_rows",
+    "design_defect",
+    "polynomial_trend",
+    "scaled_factor",
+    "scaled_qr",
+    "solve_ols",
+]
 
 
 @dataclass(frozen=True)
@@ -48,20 +56,45 @@ def polynomial_trend(t: np.ndarray, degree: int) -> np.ndarray:
     return np.vander(t, degree + 1, increasing=True)
 
 
+def check_rows(n: int, k: int) -> None:
+    """Refuse a fit of ``k`` regressors on ``n`` <= ``k`` observations."""
+    if n <= k:
+        raise DataError(f"need more observations ({n}) than regressors ({k})")
+
+
+def scaled_factor(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """QR of x with unit-RMS columns, ungated: (xs, scale, q, r), xs = q @ r.
+
+    xs = x / scale, except that a zero column stays zero, so that
+    :func:`design_defect` can name it.
+    """
+    scale = np.sqrt((x * x).mean(axis=0))
+    xs = x / np.where(scale > 0.0, scale, 1.0)
+    q, r = np.linalg.qr(xs)
+    return xs, scale, q, r
+
+
+def design_defect(scale: np.ndarray, r: np.ndarray) -> str | None:
+    """Why a design with column scales ``scale`` and square QR factor ``r``
+    cannot be fit, or None."""
+    if not np.all(scale > 0.0):
+        return "a regressor column is identically zero"
+    rdiag = np.abs(np.diag(r))
+    # Columns have unit RMS, so a tiny pivot can only mean collinearity.
+    if rdiag.min() <= 1e-12 * max(rdiag.max(), 1.0):
+        return "collinear regressors"
+    return None
+
+
 def scaled_qr(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """QR of x with unit-RMS columns: (xs, scale, q, r), xs = x / scale = q @ r.
 
     Raises DegeneracyError for a zero column or collinear columns.
     """
-    scale = np.sqrt((x * x).mean(axis=0))
-    if not np.all(scale > 0.0):
-        raise DegeneracyError("a regressor column is identically zero")
-    xs = x / scale
-    q, r = np.linalg.qr(xs)
-    rdiag = np.abs(np.diag(r))
-    # Columns have unit RMS, so a tiny pivot can only mean collinearity.
-    if rdiag.min() <= 1e-12 * max(rdiag.max(), 1.0):
-        raise DegeneracyError("collinear regressors")
+    xs, scale, q, r = scaled_factor(x)
+    defect = design_defect(scale, r)
+    if defect is not None:
+        raise DegeneracyError(defect)
     return xs, scale, q, r
 
 
@@ -72,8 +105,7 @@ def solve_ols(x: np.ndarray, y: np.ndarray) -> OlsFit:
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
         raise DataError(f"incompatible shapes {x.shape} and {y.shape}")
     n, k = x.shape
-    if n <= k:
-        raise DataError(f"need more observations ({n}) than regressors ({k})")
+    check_rows(n, k)
     xs, scale, q, r = scaled_qr(x)
     beta_s = np.linalg.solve(r, q.T @ y)
     r_inv = np.linalg.solve(r, np.eye(k))

@@ -426,6 +426,8 @@ def simulate_dgp(
     """
     if n < 30:
         raise DataError(f"need n >= 30 observations, got {n}")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     spread_start = _require_finite("spread_start", spread_start)
     rng = np.random.default_rng(seed)
     t = np.arange(n, dtype=float)

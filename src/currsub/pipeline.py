@@ -373,6 +373,8 @@ class MonteCarloConfig:
     def __post_init__(self) -> None:
         if self.n_seeds < 10:
             raise ParameterError(f"need n_seeds >= 10, got {self.n_seeds}")
+        if self.seed_base < 0:
+            raise ParameterError(f"seed_base must be >= 0, got {self.seed_base}")
 
 
 def _quartiles(values: list[float]) -> dict:

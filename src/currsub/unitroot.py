@@ -6,6 +6,17 @@ critical values, and the MacKinnon (1994) approximate p-values. The ADF
 variant augments the regression with lagged differences (AIC-selected by
 default); the PP variant instead corrects the unaugmented t-ratio with a
 Bartlett long-run variance of the residuals.
+
+The AIC lag search compares the orders 0..max_lags on one common
+sample, so their designs are nested: with the columns ordered [level,
+deterministics, lags 1..max_lags], candidate k is the first p + k
+columns. One QR of the widest design, X = QR, serves every candidate.
+The first p + k columns of Q span candidate k's design, so its residual
+is the widest residual plus y's components along the dropped columns of
+Q: SSR_k = SSR_widest + sum_{i >= p+k} (Q'y)_i^2, the SSR that fitting
+candidate k alone gives, up to rounding. Only the winning order is fit
+as a regression, on the longer sample it allows. Ng and Perron (2001,
+Econometrica 69:1519) discuss choosing the lag on a common sample.
 """
 
 from __future__ import annotations
@@ -15,7 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._ols import OlsFit, polynomial_trend, solve_ols
+from ._ols import (
+    OlsFit,
+    check_rows,
+    design_defect,
+    polynomial_trend,
+    scaled_factor,
+    solve_ols,
+)
 from .errors import DataError, DegeneracyError, ParameterError
 from .lrcov import bartlett_long_run_variance, newey_west_bandwidth
 from .series import MonthlySeries
@@ -163,21 +181,54 @@ def _report(test: str, kind: str, statistic: float, lags_or_bw: int, nobs: int) 
     )
 
 
-def _df_regression(y: np.ndarray, kind: str, lag: int, trim: int) -> OlsFit:
-    """Dickey-Fuller regression with ``lag`` augmentation terms.
-
-    Rows start at difference index ``trim`` (>= lag), so candidate lag
-    orders can be compared on one common sample.
-    """
+def _df_columns(
+    y: np.ndarray, kind: str, lag: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
+    """(lhs, level, trend, [lagged differences 1..lag]) of the Dickey-Fuller
+    regression, on every difference row that ``lag`` allows."""
     dy = np.diff(y)
-    rows = np.arange(trim, dy.size)
-    lhs = dy[rows]
-    cols = [y[rows]]
-    for j in range(1, lag + 1):
-        cols.append(dy[rows - j])
+    rows = np.arange(lag, dy.size)
     trend = polynomial_trend(np.arange(1.0, rows.size + 1.0), _TREND_DEGREE[kind])
-    x = np.column_stack(cols + [trend])
-    return solve_ols(x, lhs)
+    return dy[rows], y[rows], trend, [dy[rows - j] for j in range(1, lag + 1)]
+
+
+def _df_regression(y: np.ndarray, kind: str, lag: int) -> OlsFit:
+    """Dickey-Fuller regression with ``lag`` augmentation terms."""
+    lhs, level, trend, lagged = _df_columns(y, kind, lag)
+    return solve_ols(np.column_stack([level, *lagged, trend]), lhs)
+
+
+def _aic_lag(y: np.ndarray, kind: str, max_lags: int) -> int:
+    """The AIC-best order in 0..``max_lags`` on the common sample that
+    ``max_lags`` allows, from one QR of the widest design; ties go to the
+    smallest order.
+
+    Refuses as the first failing candidate's own fit would, with the same
+    checks in the same order. Only the pivot ratio is read in this column
+    order, so a design whose rounding puts it next to the 1e-12 gate can
+    be decided differently from a fit of that candidate alone.
+    """
+    lhs, level, trend, lagged = _df_columns(y, kind, max_lags)
+    x = np.column_stack([level, trend, *lagged])
+    nobs, width = x.shape
+    base = width - max_lags
+    _, scale, q, r = scaled_factor(x)
+    # A candidate's checks only fail more as columns are added, so if the
+    # widest candidate passes, every one does; otherwise the first
+    # candidate to fail gives the refusal, its checks in solve_ols's order.
+    if nobs <= width or design_defect(scale, r) is not None:
+        for cols in range(base, width + 1):
+            check_rows(nobs, cols)
+            defect = design_defect(scale[:cols], r[:cols, :cols])
+            if defect is not None:
+                raise DegeneracyError(defect)
+    qty = q.T @ lhs
+    resid = lhs - q @ qty
+    # Candidate k leaves the Q'y components of lag columns k+1.. unexplained.
+    lag_parts = (qty * qty)[base:]
+    ssr = float(resid @ resid) + np.append(np.cumsum(lag_parts[::-1])[::-1], 0.0)
+    aic = nobs * np.log(ssr / nobs) + 2.0 * np.arange(base, width + 1)
+    return int(np.argmin(aic))  # the first minimum: ties go to the smaller order
 
 
 def _t_on_level(fit: OlsFit) -> float:
@@ -198,7 +249,11 @@ def adf_test(
     ``lags`` fixes the augmentation order; when None, the order is
     chosen by AIC over 0..``max_lags``, evaluated on the common sample
     that the largest candidate allows, then refit on the full sample the
-    winning order allows.
+    winning order allows. The search factors the widest candidate design
+    once and reads every candidate's SSR off that one QR: the candidates
+    are nested, so dropping trailing columns moves exactly their Q'y
+    components into the residual (see the module docstring). Only the
+    winning order is fit as a regression.
     """
     _check_kind(spec)
     y = s.values
@@ -215,14 +270,9 @@ def adf_test(
         raise DataError(f"need at least {needed} observations, got {y.size}")
 
     if lags is None:
-        best, best_aic = 0, math.inf
-        for k in range(max_lags + 1):
-            fit = _df_regression(y, spec, k, trim=max_lags)
-            aic = fit.nobs * math.log(fit.ssr / fit.nobs) + 2.0 * fit.nparams
-            if aic < best_aic:
-                best, best_aic = k, aic
+        best = _aic_lag(y, spec, max_lags)
 
-    fit = _df_regression(y, spec, best, trim=best)
+    fit = _df_regression(y, spec, best)
     return _report("ADF", spec, _t_on_level(fit), best, fit.nobs)
 
 
@@ -241,7 +291,7 @@ def pp_test(
     y = s.values
     if y.size < 25:
         raise DataError(f"need at least 25 observations, got {y.size}")
-    fit = _df_regression(y, spec, 0, trim=0)
+    fit = _df_regression(y, spec, 0)
     nobs = fit.nobs
     if bandwidth is None:
         bandwidth = newey_west_bandwidth(nobs)

@@ -449,8 +449,10 @@ class TestUsageErrors:
         (["estimate", "DATA", "--max", "3", "--band", "4"],
          "unrecognized arguments: --max 3 --band 4"),
         ([*TestMontecarlo.MC_ARGS, "--seed", "5"], "unrecognized arguments: --seed 5"),
+        (simulate_args("ignored", seed=-1)[:-2], "seed must be >= 0, got -1"),
+        ([*TestMontecarlo.MC_ARGS, "--seed-base", "-5"], "seed_base must be >= 0, got -5"),
     ], ids=["unread-flag", "no-data", "bad-format", "no-command", "abbreviations",
-            "ambiguous-abbreviation"])
+            "ambiguous-abbreviation", "negative-seed", "negative-seed-base"])
     def test_one_error_line(self, dataset, capsys, argv, message):
         argv = [dataset if arg == "DATA" else arg for arg in argv]
         assert main(argv) == 2

@@ -66,6 +66,7 @@ def test_chunk_equals_fmols_lc(tool, config):
         (["--reps", "-5"], "--reps must be >= 1, got -5"),
         (["--chunk", "0"], "--chunk must be >= 1, got 0"),
         (["--t", "3"], "--t must be >= 30, got 3"),
+        (["--seed", "-1"], "--seed must be >= 0, got -1"),
     ],
 )
 def test_argument_floors_exit_2(tool, capsys, argv, message):

@@ -145,6 +145,35 @@ class TestAdf:
         with pytest.raises(DataError, match="at least"):
             adf_test(series(np.arange(25.0)), INTERCEPT)  # needs 20 + 12
 
+    def test_constant_series_refused_as_collinear(self):
+        # The lag-0 candidate's level and intercept coincide; that refusal
+        # comes before the all-zero lag columns of the wider candidates.
+        for kind in DETERMINISTIC_KINDS:
+            with pytest.raises(DegeneracyError, match="^collinear regressors$"):
+                adf_test(series(np.full(60, 3.0)), kind)
+
+    @pytest.mark.parametrize("n, max_lags", [(38, 18), (36, 16)])
+    def test_candidate_as_wide_as_sample_refused(self, n, max_lags):
+        # 19 common rows; candidate 16 is the first with 19 regressors.
+        with pytest.raises(
+            DataError, match=r"^need more observations \(19\) than regressors \(19\)$"
+        ):
+            adf_test(random_walk(0, n), TREND_AND_INTERCEPT, max_lags=max_lags)
+
+    def test_widest_candidate_can_win(self):
+        # 18 regressors on 19 rows: one residual degree of freedom.
+        rep = adf_test(random_walk(1, 36), INTERCEPT, max_lags=16)
+        assert (rep.lags_or_bandwidth, rep.n_obs) == (16, 19)
+        assert rep.statistic == pytest.approx(float.fromhex("0x1.7448b3eeec99dp-1"), abs=1e-12)
+
+    def test_constant_tail_picks_largest_lag(self):
+        # Lag columns that are zero over the tail still enter the search.
+        y = random_walk(34, 40).values.copy()
+        y[30:] = y[29]
+        rep = adf_test(series(y), INTERCEPT)
+        assert (rep.lags_or_bandwidth, rep.n_obs) == (12, 27)
+        assert rep.statistic == pytest.approx(float.fromhex("0x1.4c3822c342773p+0"), abs=1e-12)
+
     def test_bad_lags_rejected(self):
         y = random_walk(5, 100)
         with pytest.raises(ParameterError):
@@ -235,10 +264,15 @@ def _oracle_design(y, kind, lag, trim):
     return np.column_stack(cols), dy[rows]
 
 
-def _oracle_fit(x, lhs):
-    """(beta, resid, standard error of beta[0]) by lstsq, no QR of our own."""
+def _oracle_ols(x, lhs):
+    """(beta, resid) by lstsq, no QR of our own."""
     beta = np.linalg.lstsq(x, lhs, rcond=None)[0]
-    resid = lhs - x @ beta
+    return beta, lhs - x @ beta
+
+
+def _oracle_fit(x, lhs):
+    """(beta, resid, standard error of beta[0])."""
+    beta, resid = _oracle_ols(x, lhs)
     s2 = float(resid @ resid) / (x.shape[0] - x.shape[1])
     # Frisch-Waugh: (X'X)^-1[0, 0] is 1 / SSR of the level on the rest.
     rest = x[:, 1:]
@@ -250,7 +284,7 @@ def _oracle_adf(y, kind, max_lags):
     best, best_aic = None, math.inf
     for k in range(max_lags + 1):
         x, lhs = _oracle_design(y, kind, k, max_lags)
-        _, resid, _ = _oracle_fit(x, lhs)
+        _, resid = _oracle_ols(x, lhs)
         nobs = x.shape[0]
         aic = nobs * math.log(float(resid @ resid) / nobs) + 2.0 * x.shape[1]
         if aic < best_aic:
@@ -285,6 +319,19 @@ def _oracle_pp(y, kind, bandwidth):
 
 class TestLstsqOracle:
     """adf_test and pp_test against an independent, unscaled lstsq oracle."""
+
+    def test_adf_aic_lag_sweep(self):
+        """AR(1) levels and cumulative sums, n 40..400, max_lags 0..14."""
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            n, max_lags = int(rng.integers(40, 401)), int(rng.integers(0, 15))
+            u = ar1_series(seed, n, rho=rng.uniform(-0.9, 0.9)).values
+            y = np.cumsum(u) if seed % 2 else u
+            for kind in DETERMINISTIC_KINDS:
+                ours = adf_test(series(y), kind, max_lags=max_lags)
+                lag, t_stat = _oracle_adf(y, kind, max_lags)
+                assert (seed, kind, ours.lags_or_bandwidth) == (seed, kind, lag)
+                assert ours.statistic == pytest.approx(t_stat, abs=1e-8)
 
     @pytest.mark.parametrize("name", sorted(ORACLE_SERIES))
     @pytest.mark.parametrize("kind", DETERMINISTIC_KINDS)

@@ -25,7 +25,8 @@ independent checks guard against transcription drift:
 Usage: python tools/simulate_lc_critical_values.py [--reps 100000]
            [--t 2000] [--seed 20260815] [--chunk 250] [--quick]
 
---reps and --chunk must be at least 1 and --t at least 30 (exit 2 otherwise).
+--reps and --chunk must be at least 1, --t at least 30 and --seed at least 0
+(exit 2 otherwise).
 
 Prints the dict literal to paste into currsub/coint.py.
 """
@@ -230,6 +231,7 @@ def main(argv: list[str] | None = None) -> int:
         ("--reps", args.reps, 1),
         ("--chunk", args.chunk, 1),
         ("--t", args.t_len, 30),
+        ("--seed", args.seed, 0),
     ):
         if value < floor:
             parser.error(f"{flag} must be >= {floor}, got {value}")
