@@ -12,7 +12,6 @@ The package splits along the analysis stages:
 """
 
 from .errors import (
-    AlignmentError,
     CurrsubError,
     DataError,
     DegeneracyError,
@@ -24,9 +23,7 @@ from .errors import (
 from .series import (
     MonthStamp,
     MonthlySeries,
-    align,
     diff,
-    log_series,
     pearson_correlation,
     span_length,
 )
@@ -56,7 +53,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AgentState",
-    "AlignmentError",
     "CurrsubError",
     "DataError",
     "DegeneracyError",
@@ -75,7 +71,6 @@ __all__ = [
     "UnitRootReport",
     "ValidationError",
     "adf_test",
-    "align",
     "annual_to_monthly_cost",
     "budget_gap",
     "ces_liquidity",
@@ -86,7 +81,6 @@ __all__ = [
     "foc_euro_gap",
     "foc_money_gap",
     "hansen_lc",
-    "log_series",
     "long_run_cov",
     "newey_west_bandwidth",
     "opportunity_cost",

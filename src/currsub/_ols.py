@@ -4,6 +4,18 @@ by the unit-root and FMOLS code.
 Regressor columns are rescaled to unit root-mean-square before the QR
 factorization: quadratic trend columns otherwise push the moment matrix
 condition number past what double precision can invert reliably.
+
+Every function here also takes a stack of problems, one per leading
+index, and computes each the way it computes a lone one, bit for bit:
+batched QR, solve and matrix products run the same LAPACK and BLAS
+calls per matrix, and reductions run along the same axis. The
+contiguity rule: that holds only when each row of a stack is laid out
+as a lone series is, with unit stride. NumPy picks the summation order
+of a reduction and the strides it hands BLAS from the layout, so a
+strided row can round differently (a Fortran-ordered stack moved the
+last bit of Q'y). ``a[:, rows]`` returns such a Fortran-ordered array.
+The stacked kernels therefore make the rows they reduce or multiply
+C-contiguous, and slice rather than index the time axis.
 """
 
 from __future__ import annotations
@@ -18,6 +30,8 @@ __all__ = [
     "OlsFit",
     "check_rows",
     "design_defect",
+    "dot",
+    "matvec",
     "polynomial_trend",
     "scaled_factor",
     "scaled_qr",
@@ -27,12 +41,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OlsFit:
-    """Coefficients, residuals and the inverse moment matrix of one fit."""
+    """Coefficients, residuals and the inverse moment matrix of one fit,
+    or of a stack of fits along the leading axes."""
 
     beta: np.ndarray = field(repr=False)
     resid: np.ndarray = field(repr=False)
     xtx_inv: np.ndarray = field(repr=False)
-    ssr: float
+    ssr: float | np.ndarray
     nobs: int
     nparams: int
 
@@ -41,19 +56,30 @@ class OlsFit:
         return self.nobs - self.nparams
 
     @property
-    def sigma2(self) -> float:
+    def sigma2(self) -> float | np.ndarray:
         """Residual variance with degrees-of-freedom correction."""
         if self.df_resid <= 0:
             raise DataError("no residual degrees of freedom")
         return self.ssr / self.df_resid
 
     def standard_errors(self) -> np.ndarray:
-        return np.sqrt(self.sigma2 * np.diag(self.xtx_inv))
+        sigma2 = np.asarray(self.sigma2)[..., None]
+        return np.sqrt(sigma2 * self.xtx_inv.diagonal(0, -2, -1))
 
 
 def polynomial_trend(t: np.ndarray, degree: int) -> np.ndarray:
     """The columns 1, t, ..., t^degree of a deterministic trend."""
     return np.vander(t, degree + 1, increasing=True)
+
+
+def matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a @ v for (..., m, k) a and (..., k) v, by the BLAS call of a 2-D a, 1-D v."""
+    return (a @ v[..., None])[..., 0]
+
+
+def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over the last axis, through the BLAS call of two 1-D operands."""
+    return (a[..., None, :] @ b[..., None])[..., 0, 0]
 
 
 def check_rows(n: int, k: int) -> None:
@@ -66,22 +92,23 @@ def scaled_factor(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     """QR of x with unit-RMS columns, ungated: (xs, scale, q, r), xs = q @ r.
 
     xs = x / scale, except that a zero column stays zero, so that
-    :func:`design_defect` can name it.
+    :func:`design_defect` can name it. xs is x itself, divided in place:
+    one copy fewer of a stack of designs; pass a copy to keep x.
     """
-    scale = np.sqrt((x * x).mean(axis=0))
-    xs = x / np.where(scale > 0.0, scale, 1.0)
+    scale = np.sqrt((x * x).mean(axis=-2))
+    xs = np.divide(x, np.where(scale > 0.0, scale, 1.0)[..., None, :], out=x)
     q, r = np.linalg.qr(xs)
     return xs, scale, q, r
 
 
 def design_defect(scale: np.ndarray, r: np.ndarray) -> str | None:
     """Why a design with column scales ``scale`` and square QR factor ``r``
-    cannot be fit, or None."""
-    if not np.all(scale > 0.0):
+    cannot be fit, or None; for a stack, a defect of any one design."""
+    if not (scale > 0.0).all():
         return "a regressor column is identically zero"
-    rdiag = np.abs(np.diag(r))
+    rdiag = np.abs(r.diagonal(0, -2, -1))
     # Columns have unit RMS, so a tiny pivot can only mean collinearity.
-    if rdiag.min() <= 1e-12 * max(rdiag.max(), 1.0):
+    if (rdiag.min(axis=-1) <= 1e-12 * np.maximum(rdiag.max(axis=-1), 1.0)).any():
         return "collinear regressors"
     return None
 
@@ -89,7 +116,8 @@ def design_defect(scale: np.ndarray, r: np.ndarray) -> str | None:
 def scaled_qr(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """QR of x with unit-RMS columns: (xs, scale, q, r), xs = x / scale = q @ r.
 
-    Raises DegeneracyError for a zero column or collinear columns.
+    Raises DegeneracyError for a zero column or collinear columns. Like
+    :func:`scaled_factor`, overwrites x with xs.
     """
     xs, scale, q, r = scaled_factor(x)
     defect = design_defect(scale, r)
@@ -99,23 +127,29 @@ def scaled_qr(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
 
 
 def solve_ols(x: np.ndarray, y: np.ndarray) -> OlsFit:
-    """Least squares of y on the columns of x; rejects rank deficiency."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if x.ndim != 2 or x.shape[0] != y.shape[0]:
+    """Least squares of y on the columns of x; rejects rank deficiency.
+
+    A stack of C-contiguous designs (S, n, k) and responses (S, n) gives
+    a stack of S fits, refused if any one of them is.
+    """
+    x = np.array(x, dtype=float)  # a copy: it is scaled in place
+    y = np.asarray(y, dtype=float)
+    if x.ndim == 2:
+        y = y.reshape(-1)
+    if x.ndim not in (2, 3) or x.shape[:-1] != y.shape:
         raise DataError(f"incompatible shapes {x.shape} and {y.shape}")
-    n, k = x.shape
+    n, k = x.shape[-2:]
     check_rows(n, k)
     xs, scale, q, r = scaled_qr(x)
-    beta_s = np.linalg.solve(r, q.T @ y)
+    beta_s = np.linalg.solve(r, matvec(q.swapaxes(-1, -2), y)[..., None])[..., 0]
     r_inv = np.linalg.solve(r, np.eye(k))
-    xtx_inv = (r_inv @ r_inv.T) / np.outer(scale, scale)
-    resid = y - xs @ beta_s
+    xtx_inv = (r_inv @ r_inv.swapaxes(-1, -2)) / (scale[..., :, None] * scale[..., None, :])
+    resid = y - matvec(xs, beta_s)
     return OlsFit(
         beta=beta_s / scale,
         resid=resid,
         xtx_inv=xtx_inv,
-        ssr=float(resid @ resid),
+        ssr=dot(resid, resid),
         nobs=n,
         nparams=k,
     )

@@ -8,6 +8,14 @@ regressor innovation), then the endogeneity-corrected dependent variable
 and the serial-correlation bias term. Hansen's (1992) Lc statistic is
 computed from the fully modified scores; its null is stable
 cointegration, so small values are good news for the model.
+
+:func:`fmols_stack` fits every row of a stack of series at once: both
+least-squares stages, the Bartlett sums and the checks run on the whole
+stack, and only the Lc statistic is summed row by row, because a batched
+``einsum`` rounds differently. Each row gets the bits :func:`fmols`
+gives it alone, which is its one-series case, under the contiguity rule
+of :mod:`currsub._ols` (the stack is made C-contiguous on entry). A row
+that refuses refuses the stack with its own error.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._ols import polynomial_trend, scaled_qr, solve_ols
+from ._ols import dot, matvec, polynomial_trend, scaled_qr, solve_ols
 from .errors import DataError, DegeneracyError, ParameterError
 from .lrcov import LongRunCovariance, long_run_cov
 from .model import TrendCoefficients
@@ -31,8 +39,10 @@ __all__ = [
     "LC_TAIL_PROBS",
     "LC_CRITICAL_VALUES",
     "FmolsReport",
+    "FmolsStack",
     "HansenLcResult",
     "fmols",
+    "fmols_stack",
     "hansen_lc",
     "lc_critical_value",
     "lc_p_value_range",
@@ -248,6 +258,129 @@ class FmolsReport:
         return TrendCoefficients(v0=self.v0, v1=self.v1, v2=self.v2, sigma=self.sigma)
 
 
+@dataclass(frozen=True)
+class FmolsStack:
+    """Fully modified fits of a stack of S aligned series, row by row.
+
+    ``theta`` and ``standard_errors`` are (S, k) in the coefficient order
+    v0.., sigma (standard errors zero where inference is degenerate) and
+    ``lrc`` holds the S long-run covariances; a fit of one series has no
+    leading axis. The tuples hold one entry per series: ``lc`` the Lc
+    result, None where inference is degenerate.
+    """
+
+    theta: np.ndarray = field(repr=False)
+    standard_errors: np.ndarray = field(repr=False)
+    r_squared: tuple[float, ...]
+    lrc: LongRunCovariance = field(repr=False)
+    degenerate_inference: tuple[bool, ...]
+    lc: tuple[HansenLcResult | None, ...]
+
+
+def _r_squared(ssr: float, tss: float) -> float:
+    if tss > 0.0:
+        return min(max(1.0 - ssr / tss, 0.0), 1.0)
+    return 1.0 if ssr <= 1e-300 else 0.0
+
+
+def fmols_stack(
+    y: np.ndarray,
+    x: np.ndarray,
+    deterministics: str = QUADRATIC_TREND,
+    bandwidth: int | None = None,
+    offset: int = 0,
+) -> FmolsStack:
+    """Fully modified fits of each row of (S, n) y on trend terms and the
+    same row of x, t = offset + 0..n-1; :func:`fmols` is its case of one
+    series, y and x of shape (n,).
+
+    Every row is computed as it would be alone: batched factorizations,
+    solves and products run per row (see :mod:`currsub._ols`), and the
+    Lc statistic is summed row by row. A refusal of any row refuses the
+    stack, with that row's error.
+    """
+    _check_config(deterministics)
+    y = np.ascontiguousarray(y, dtype=float)
+    n = y.shape[-1]
+    if n < 30:
+        raise DataError(f"need at least 30 observations, got {n}")
+
+    t = np.arange(n, dtype=float) + float(offset)
+    trend = polynomial_trend(t, _TREND_DEGREE[deterministics])
+    k = trend.shape[1] + 1
+    z = np.empty((*y.shape, k))
+    z[..., :-1] = trend
+    z[..., -1] = x
+
+    first = solve_ols(z, y)
+    eta2 = np.diff(x)
+    lrc = long_run_cov(first.resid[..., 1:], eta2, bandwidth=bandwidth)
+    w11 = lrc.omega[..., 0, 0]
+    w12 = lrc.omega[..., 0, 1]
+    w22 = lrc.omega[..., 1, 1]
+    if not (w22 > 0.0).all():
+        raise DegeneracyError(
+            "the stochastic regressor has zero innovation variance"
+        )
+
+    ratio = w12 / w22
+    y_plus = y[..., 1:] - ratio[..., None] * eta2
+    lam12_plus = lrc.lam[..., 0, 1] - ratio * lrc.lam[..., 1, 1]
+    bias = np.zeros((*y.shape[:-1], k))
+    bias[..., -1] = lam12_plus
+
+    # Solve in column-scaled coordinates: the quadratic trend makes the
+    # raw moment matrix too ill-conditioned for a direct solve.
+    zt, scale, _, r = scaled_qr(z[..., 1:, :].copy())
+    bias_t = bias / scale
+    rhs = matvec(zt.swapaxes(-1, -2), y_plus) - (n - 1) * bias_t
+    theta_t = np.linalg.solve(r, np.linalg.solve(r.swapaxes(-1, -2), rhs[..., None]))
+    theta_t = theta_t[..., 0]
+    theta = theta_t / scale
+
+    omega112 = w11 - w12 * w12 / w22
+    omega112 = np.where(omega112 < 0.0, 0.0, omega112)
+    var_y = np.var(y, axis=-1)
+    # Exact or near-exact fits leave no long-run error variance to divide
+    # by; such rows keep their coefficients with inference flagged degenerate.
+    degenerate = omega112 <= 1e-12 * np.where(var_y < 1e-300, 1e-300, var_y)
+
+    r_inv = np.linalg.solve(r, np.eye(k))
+    xtx_inv_t = r_inv @ r_inv.swapaxes(-1, -2)
+    se = np.sqrt(omega112[..., None] * xtx_inv_t.diagonal(0, -2, -1)) / scale
+    se = np.where(degenerate[..., None], 0.0, se)
+    u_plus = y_plus - matvec(zt, theta_t)
+    scores = zt * u_plus[..., None] - bias_t[..., None, :]
+    moment = zt.swapaxes(-1, -2) @ zt
+    rows = zip(
+        degenerate.reshape(-1).tolist(),
+        scores.reshape(-1, n - 1, k),
+        moment.reshape(-1, k, k),
+        omega112.reshape(-1).tolist(),
+    )
+    lc = tuple(
+        None if row_degenerate else hansen_lc(row_scores, row_moment, w, deterministics)
+        for row_degenerate, row_scores, row_moment, w in rows
+    )
+
+    resid_full = y - matvec(z, theta)
+    centered = y - y.mean(axis=-1, keepdims=True)
+    ssrs = dot(resid_full, resid_full).reshape(-1)
+    tsss = dot(centered, centered).reshape(-1)
+    r_squared = tuple(_r_squared(a, b) for a, b in zip(ssrs.tolist(), tsss.tolist()))
+    for value in r_squared:
+        if not 0.0 <= value <= 1.0:  # FmolsReport's check, for rows never reported
+            raise ParameterError(f"r_squared outside [0, 1]: {value}")
+    return FmolsStack(
+        theta=theta,
+        standard_errors=se,
+        r_squared=r_squared,
+        lrc=lrc,
+        degenerate_inference=tuple(degenerate.reshape(-1).tolist()),
+        lc=lc,
+    )
+
+
 def fmols(
     y: MonthlySeries,
     x: MonthlySeries,
@@ -261,84 +394,32 @@ def fmols(
     month index t (default: the first observation is t = 0); shifting it
     re-expands the trend polynomial without changing the fit. The
     long-run covariance bandwidth defaults to the automatic Newey-West
-    lag on the n - 1 innovation rows.
+    lag on the n - 1 innovation rows. The fit is the one-series case of
+    :func:`fmols_stack`.
     """
     _check_config(deterministics)
     if y.start != x.start or len(y) != len(x):
         raise DataError("series must be aligned (same start and length)")
-    n = len(y)
-    if n < 30:
-        raise DataError(f"need at least 30 observations, got {n}")
-
     offset = 0 if trend_origin is None else y.start.index - trend_origin.index
-    t = np.arange(n, dtype=float) + float(offset)
-    z = np.column_stack([polynomial_trend(t, _TREND_DEGREE[deterministics]), x.values])
-    k = z.shape[1]
-
-    first = solve_ols(z, y.values)
-    eta2 = np.diff(x.values)
-    lrc = long_run_cov(first.resid[1:], eta2, bandwidth=bandwidth)
-    w11 = float(lrc.omega[0, 0])
-    w12 = float(lrc.omega[0, 1])
-    w22 = float(lrc.omega[1, 1])
-    if not w22 > 0.0:
-        raise DegeneracyError(
-            "the stochastic regressor has zero innovation variance"
-        )
-
-    y_plus = y.values[1:] - (w12 / w22) * eta2
-    lam12_plus = lrc.lam[0, 1] - (w12 / w22) * lrc.lam[1, 1]
-    bias = np.zeros(k)
-    bias[-1] = lam12_plus
-
-    # Solve in column-scaled coordinates: the quadratic trend makes the
-    # raw moment matrix too ill-conditioned for a direct solve.
-    zt, scale, _, r = scaled_qr(z[1:])
-    bias_t = bias / scale
-    rhs = zt.T @ y_plus - (n - 1) * bias_t
-    theta_t = np.linalg.solve(r, np.linalg.solve(r.T, rhs))
-    theta = theta_t / scale
-
-    omega112 = float(max(w11 - w12 * w12 / w22, 0.0))
+    fit = fmols_stack(y.values, x.values, deterministics, bandwidth, offset)
     names = _param_names(deterministics)
-    params = dict(zip(names, (float(b) for b in theta)))
-
-    # Exact or near-exact fits leave no long-run error variance to divide
-    # by; report the coefficients and flag inference as degenerate.
-    degenerate = omega112 <= 1e-12 * max(float(np.var(y.values)), 1e-300)
-    if degenerate:
+    params = dict(zip(names, fit.theta.tolist()))
+    lc = fit.lc[0]
+    if fit.degenerate_inference[0]:
         ses = dict.fromkeys(names, 0.0)
         tstats = dict.fromkeys(names, math.nan)
-        lc = None
     else:
-        r_inv = np.linalg.solve(r, np.eye(k))
-        xtx_inv_t = r_inv @ r_inv.T
-        se = np.sqrt(omega112 * np.diag(xtx_inv_t)) / scale
-        ses = dict(zip(names, (float(v) for v in se)))
+        ses = dict(zip(names, fit.standard_errors.tolist()))
         tstats = {name: params[name] / ses[name] for name in names}
-        u_plus = y_plus - zt @ theta_t
-        scores = zt * u_plus[:, None] - bias_t[None, :]
-        lc = hansen_lc(scores, zt.T @ zt, omega112, deterministics)
-
-    fitted = z @ theta
-    resid_full = y.values - fitted
-    ssr = float(resid_full @ resid_full)
-    centered = y.values - y.values.mean()
-    tss = float(centered @ centered)
-    if tss > 0.0:
-        r_squared = min(max(1.0 - ssr / tss, 0.0), 1.0)
-    else:
-        r_squared = 1.0 if ssr <= 1e-300 else 0.0
-
     return FmolsReport(
         deterministics=deterministics,
         params=params,
         standard_errors=ses,
         t_statistics=tstats,
-        r_squared=r_squared,
-        lrc=lrc,
-        n_obs=n,
-        degenerate_inference=degenerate,
+        r_squared=fit.r_squared[0],
+        lrc=fit.lrc,
+        n_obs=len(y),
+        degenerate_inference=fit.degenerate_inference[0],
         lc_statistic=None if lc is None else lc.statistic,
         lc_p_value_range=None if lc is None else lc.p_value_range,
         lc_stable_at_10pct=None if lc is None else lc.stable_at_10pct,

@@ -22,10 +22,6 @@ class DataError(ValidationError):
     """A data precondition fails (length, ordering, finiteness)."""
 
 
-class AlignmentError(DataError):
-    """Two series do not share any overlapping months."""
-
-
 class SeriesDomainError(DataError):
     """A series value is outside the mathematical domain of an operation."""
 

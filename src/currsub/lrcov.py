@@ -36,11 +36,14 @@ def newey_west_bandwidth(n: int) -> int:
     return int(math.floor(4.0 * (n / 100.0) ** (2.0 / 9.0)))
 
 
-def _as_vector(x) -> np.ndarray:
+def _as_values(x) -> np.ndarray:
+    """Finite values of a series, or of each row of a 2-D stack of series."""
     if isinstance(x, MonthlySeries):
         return x.values
-    arr = np.asarray(x, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(arr)):
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim != 2:
+        arr = arr.reshape(-1)
+    if not np.isfinite(arr).all():
         raise DataError("inputs must be finite")
     return arr
 
@@ -53,7 +56,8 @@ class LongRunCovariance:
     sum including lag zero, and ``gamma0`` the contemporaneous
     autocovariance; omega = lam + lam' - gamma0 by construction, and that
     identity plus symmetry and positive semi-definiteness of omega are
-    re-checked on construction.
+    re-checked on construction. Leading axes, if any, index one
+    covariance per series of a stack, and every one is checked.
     """
 
     omega: np.ndarray = field(repr=False)
@@ -68,14 +72,16 @@ class LongRunCovariance:
         lam = np.array(self.lam, dtype=float)
         gamma0 = np.array(self.gamma0, dtype=float)
         for name, mat in (("omega", omega), ("lam", lam), ("gamma0", gamma0)):
-            if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            if mat.ndim < 2 or mat.shape[-2] != mat.shape[-1]:
                 raise ParameterError(f"{name} must be square, got {mat.shape}")
-        scale = max(1.0, float(np.abs(gamma0).max()))
-        if np.abs(omega - omega.T).max() > 1e-10 * scale:
+        scale = np.fmax(np.abs(gamma0).max(axis=(-2, -1)), 1.0)  # NaN gives 1
+        tol = 1e-10 * scale
+        if (np.abs(omega - omega.swapaxes(-1, -2)).max(axis=(-2, -1)) > tol).any():
             raise ParameterError("omega must be symmetric")
-        if np.abs(omega - (lam + lam.T - gamma0)).max() > 1e-10 * scale:
+        identity = omega - (lam + lam.swapaxes(-1, -2) - gamma0)
+        if (np.abs(identity).max(axis=(-2, -1)) > tol).any():
             raise ParameterError("omega must equal lam + lam' - gamma0")
-        if np.linalg.eigvalsh(omega).min() < -1e-12 * scale:
+        if (np.linalg.eigvalsh(omega).min(axis=-1) < -1e-12 * scale).any():
             raise ParameterError("omega must be positive semi-definite")
         for mat in (omega, lam, gamma0):
             mat.setflags(write=False)
@@ -85,7 +91,8 @@ class LongRunCovariance:
 
 
 def _bartlett_sum(e: np.ndarray, bandwidth: int, lag_factor: float):
-    """gamma0 and gamma0 + lag_factor * sum_j w_j Gamma_j, for a vector or n x k e.
+    """gamma0 and gamma0 + lag_factor * sum_j w_j Gamma_j, for a vector, an
+    n x k matrix or a stack (..., n, k) of matrices e.
 
     Factor 1 gives the one-sided sum; factor 2 the two-sided sum of a
     single vector, whose lag j and lag -j autocovariances coincide.
@@ -93,12 +100,22 @@ def _bartlett_sum(e: np.ndarray, bandwidth: int, lag_factor: float):
     bandwidth = int(bandwidth)
     if bandwidth < 0:
         raise ParameterError(f"bandwidth must be >= 0, got {bandwidth}")
-    n = e.shape[0]
-    gamma0 = e.T @ e / n
+    if e.ndim == 1:
+        n = e.shape[0]
+
+        def cross(j: int):  # the lag-j product sum_t e_t e_{t-j}
+            return e[j:] @ e[: n - j]
+    else:
+        n = e.shape[-2]
+
+        def cross(j: int):
+            return e[..., j:, :].swapaxes(-1, -2) @ e[..., : n - j, :]
+
+    gamma0 = cross(0) / n
     total = gamma0
     for j in range(1, min(bandwidth, n - 1) + 1):
         w = 1.0 - j / (bandwidth + 1.0)
-        total = total + lag_factor * w * (e[j:].T @ e[:-j]) / n
+        total = total + lag_factor * w * cross(j) / n
     return gamma0, total
 
 
@@ -108,21 +125,23 @@ def long_run_cov(u, v, bandwidth: int | None = None) -> LongRunCovariance:
     ``bandwidth`` None selects the automatic Newey-West lag. Lag-j
     autocovariances are demeaned and normalized by n regardless of lag,
     so at bandwidth 0 ``omega`` is the plain sample covariance matrix.
+    2-D u and v are stacks of series, one per row: the result then
+    holds one covariance per row, each computed as for that row alone.
     """
-    u = _as_vector(u)
-    v = _as_vector(v)
-    if u.size != v.size:
+    u = _as_values(u)
+    v = _as_values(v)
+    if u.shape != v.shape:
         raise DataError(f"length mismatch: {u.size} vs {v.size}")
-    n = u.size
+    n = u.shape[-1]
     if n < 10:
         raise DataError(f"need at least 10 observations, got {n}")
     if bandwidth is None:
         bandwidth = newey_west_bandwidth(n)
     bandwidth = int(bandwidth)
-    e = np.column_stack([u, v])
-    gamma0, lam = _bartlett_sum(e - e.mean(axis=0), bandwidth, 1.0)
-    omega = lam + lam.T - gamma0
-    omega = (omega + omega.T) / 2.0
+    e = np.stack([u, v], axis=-1)
+    gamma0, lam = _bartlett_sum(e - e.mean(axis=-2, keepdims=True), bandwidth, 1.0)
+    omega = lam + lam.swapaxes(-1, -2) - gamma0
+    omega = (omega + omega.swapaxes(-1, -2)) / 2.0
     return LongRunCovariance(omega=omega, lam=lam, gamma0=gamma0, bandwidth=bandwidth)
 
 
@@ -133,7 +152,7 @@ def bartlett_long_run_variance(e, bandwidth: int) -> float:
     demeaning: intended for regression residuals that are already
     orthogonal to an intercept.
     """
-    e = _as_vector(e)
+    e = _as_values(e).reshape(-1)
     n = e.size
     if n < 2:
         raise DataError(f"need at least 2 observations, got {n}")

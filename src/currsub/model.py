@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DegeneracyError, ParameterError
-from .series import MonthStamp, MonthlySeries
+from .series import MonthStamp, MonthlySeries, require_finite
 
 __all__ = [
     "ModelParams",
@@ -41,6 +41,7 @@ __all__ = [
     "delta_at",
     "budget_gap",
     "simulate_dgp",
+    "simulate_paths",
 ]
 
 
@@ -404,6 +405,52 @@ class SimulatedDgp:
     eps: MonthlySeries
 
 
+def simulate_paths(
+    coeffs: TrendCoefficients,
+    n: int,
+    noise: DgpNoise,
+    seeds,
+    *,
+    start: MonthStamp = MonthStamp(2001, 9),
+    spread_start: float = 0.0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (log money ratio, spread, eps) paths of :func:`simulate_dgp`
+    for each seed, as three (len(seeds), n) arrays.
+
+    Each seed's draws are its own generator's, in simulate_dgp's order;
+    the AR(1) recursion steps every seed at once. A non-finite path is
+    refused as a MonthlySeries of it would be (``start`` dates the
+    refusal).
+    """
+    if n < 30:
+        raise DataError(f"need n >= 30 observations, got {n}")
+    for seed in seeds:
+        if seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {seed}")
+    spread_start = _require_finite("spread_start", spread_start)
+    steps = np.empty((len(seeds), n - 1))
+    shocks = np.empty((len(seeds), n - 1))
+    eps = np.empty((len(seeds), n))
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        steps[i] = rng.normal(0.0, noise.spread_sd, size=n - 1)
+        eps[i, 0] = rng.normal(0.0, noise.eps_sd / math.sqrt(1.0 - noise.rho**2))
+        shocks[i] = rng.normal(0.0, noise.eps_sd, size=n - 1)
+
+    spread = np.empty((len(seeds), n))
+    spread[:, 0] = 0.0
+    np.cumsum(steps, axis=-1, out=spread[:, 1:])
+    spread += spread_start
+    for k in range(1, n):
+        eps[:, k] = noise.rho * eps[:, k - 1] + shocks[:, k - 1]
+
+    t = np.arange(n, dtype=float)
+    y = coeffs.v0 + coeffs.v1 * t + coeffs.v2 * t**2 + coeffs.sigma * spread + eps
+    for path in (y, spread, eps):
+        require_finite(start, path)
+    return y, spread, eps
+
+
 def simulate_dgp(
     coeffs: TrendCoefficients,
     n: int,
@@ -422,28 +469,11 @@ def simulate_dgp(
 
     Deterministic given ``seed``: the generator draws the n-1 spread
     innovations first, then the n disturbance draws, so results are
-    reproducible across runs and platforms.
+    reproducible across runs and platforms. This is the one-seed case
+    of :func:`simulate_paths`.
     """
-    if n < 30:
-        raise DataError(f"need n >= 30 observations, got {n}")
-    if seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed}")
-    spread_start = _require_finite("spread_start", spread_start)
-    rng = np.random.default_rng(seed)
-    t = np.arange(n, dtype=float)
-
-    steps = rng.normal(0.0, noise.spread_sd, size=n - 1)
-    spread = spread_start + np.concatenate(([0.0], np.cumsum(steps)))
-
-    eps = np.empty(n)
-    eps[0] = rng.normal(0.0, noise.eps_sd / math.sqrt(1.0 - noise.rho**2))
-    shocks = rng.normal(0.0, noise.eps_sd, size=n - 1)
-    for k in range(1, n):
-        eps[k] = noise.rho * eps[k - 1] + shocks[k - 1]
-
-    y = coeffs.v0 + coeffs.v1 * t + coeffs.v2 * t**2 + coeffs.sigma * spread + eps
-    return SimulatedDgp(
-        log_money_ratio=MonthlySeries(start, y),
-        oc_spread_log=MonthlySeries(start, spread),
-        eps=MonthlySeries(start, eps),
+    paths = simulate_paths(
+        coeffs, n, noise, [seed], start=start, spread_start=spread_start
     )
+    y, spread, eps = (MonthlySeries(start, path[0]) for path in paths)
+    return SimulatedDgp(log_money_ratio=y, oc_spread_log=spread, eps=eps)

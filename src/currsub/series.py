@@ -1,4 +1,4 @@
-"""Monthly-calendar time series: container, alignment, transforms, statistics.
+"""Monthly-calendar time series: container, transforms, statistics.
 
 Series are immutable after construction and sit on a strict monthly grid:
 observation ``k`` belongs to ``start`` advanced by ``k`` months, with no
@@ -15,14 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AlignmentError, DataError, DegeneracyError, SeriesDomainError
+from .errors import DataError, DegeneracyError
 
 __all__ = [
     "MonthStamp",
     "MonthlySeries",
     "span_length",
-    "align",
-    "log_series",
+    "require_finite",
     "diff",
     "pearson_correlation",
 ]
@@ -65,6 +64,15 @@ class MonthStamp:
         return f"{self.year:04d}-{self.month:02d}"
 
 
+def require_finite(start: MonthStamp, values: np.ndarray) -> None:
+    """Refuse the first non-finite value of a series starting at ``start``,
+    or of the first row holding one in a stack of such series."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        k = int(np.flatnonzero(bad)[0]) % values.shape[-1]
+        raise DataError(f"non-finite value at {start.shift(k)} (position {k})")
+
+
 def span_length(a: MonthStamp, b: MonthStamp) -> int:
     """Number of months from ``a`` to ``b``, inclusive of both endpoints."""
     if a > b:
@@ -87,11 +95,7 @@ class MonthlySeries:
         arr = np.array(self.values, dtype=float, copy=True).reshape(-1)
         if arr.size < 1:
             raise DataError("a series needs at least one observation")
-        if not np.all(np.isfinite(arr)):
-            k = int(np.flatnonzero(~np.isfinite(arr))[0])
-            raise DataError(
-                f"non-finite value at {self.start.shift(k)} (position {k})"
-            )
+        require_finite(self.start, arr)
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -126,31 +130,6 @@ class MonthlySeries:
         return MonthlySeries(self.start, arr)
 
 
-def align(a: MonthlySeries, b: MonthlySeries) -> tuple[MonthlySeries, MonthlySeries]:
-    """Restrict both series to their common date range.
-
-    Raises AlignmentError when the ranges are disjoint.
-    """
-    begin = max(a.start, b.start)
-    end = min(a.end, b.end)
-    if begin > end:
-        raise AlignmentError(
-            f"no overlap between [{a.start}, {a.end}] and [{b.start}, {b.end}]"
-        )
-    return a.slice(begin, end), b.slice(begin, end)
-
-
-def log_series(s: MonthlySeries) -> MonthlySeries:
-    """Elementwise natural log; every value must be strictly positive."""
-    bad = np.flatnonzero(s.values <= 0.0)
-    if bad.size:
-        k = int(bad[0])
-        raise SeriesDomainError(
-            f"log undefined: value {s.values[k]!r} at {s.start.shift(k)}"
-        )
-    return MonthlySeries(s.start, np.log(s.values))
-
-
 def diff(s: MonthlySeries, order: int = 1) -> MonthlySeries:
     """First differences applied ``order`` times.
 
@@ -174,7 +153,8 @@ def pearson_correlation(a: MonthlySeries, b: MonthlySeries) -> float:
     """
     if a.start != b.start or len(a) != len(b):
         raise DataError(
-            "series must be aligned (same start and length); use align() first"
+            "series must be aligned (same start and length); "
+            "slice both to their common months first"
         )
     if len(a) < 3:
         raise DataError(f"need at least 3 observations, have {len(a)}")

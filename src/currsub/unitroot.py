@@ -17,6 +17,15 @@ Q: SSR_k = SSR_widest + sum_{i >= p+k} (Q'y)_i^2, the SSR that fitting
 candidate k alone gives, up to rounding. Only the winning order is fit
 as a regression, on the longer sample it allows. Ng and Perron (2001,
 Econometrica 69:1519) discuss choosing the lag on a common sample.
+
+:func:`adf_stack` runs the ADF test on every row of a stack of series
+at once: one QR of the stacked widest designs for the lag search, then
+one stacked refit per group of rows that chose the same order. Each row
+gets the bits :func:`adf_test` gives it alone, which is its one-series
+case, under the contiguity rule of :mod:`currsub._ols`: the regressions'
+left-hand sides are made C-contiguous, and the design columns are
+slices, not indexed copies, of the series. A row that refuses refuses
+the stack with its own error.
 """
 
 from __future__ import annotations
@@ -30,6 +39,8 @@ from ._ols import (
     OlsFit,
     check_rows,
     design_defect,
+    dot,
+    matvec,
     polynomial_trend,
     scaled_factor,
     solve_ols,
@@ -43,6 +54,7 @@ __all__ = [
     "TREND_AND_INTERCEPT",
     "DETERMINISTIC_KINDS",
     "UnitRootReport",
+    "adf_stack",
     "adf_test",
     "pp_test",
     "mackinnon_critical_values",
@@ -181,36 +193,45 @@ def _report(test: str, kind: str, statistic: float, lags_or_bw: int, nobs: int) 
     )
 
 
-def _df_columns(
-    y: np.ndarray, kind: str, lag: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
-    """(lhs, level, trend, [lagged differences 1..lag]) of the Dickey-Fuller
-    regression, on every difference row that ``lag`` allows."""
+def _df_design(
+    y: np.ndarray, kind: str, lag: int, trend_first: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """(lhs, design) of the Dickey-Fuller regression with ``lag``
+    augmentation terms, on every difference row that ``lag`` allows, for
+    a series or for each row of a stack. The design's columns are
+    [level, trend, lags 1..lag] if ``trend_first``, else [level, lags
+    1..lag, trend]."""
     dy = np.diff(y)
-    rows = np.arange(lag, dy.size)
-    trend = polynomial_trend(np.arange(1.0, rows.size + 1.0), _TREND_DEGREE[kind])
-    return dy[rows], y[rows], trend, [dy[rows - j] for j in range(1, lag + 1)]
+    m = dy.shape[-1]
+    trend = polynomial_trend(np.arange(1.0, m - lag + 1.0), _TREND_DEGREE[kind])
+    p = trend.shape[1]
+    x = np.empty((*y.shape[:-1], m - lag, 1 + p + lag))
+    x[..., 0] = y[..., lag:m]
+    first_trend, first_lag = (1, 1 + p) if trend_first else (1 + lag, 1)
+    x[..., first_trend : first_trend + p] = trend
+    for j in range(1, lag + 1):
+        x[..., first_lag + j - 1] = dy[..., lag - j : m - j]
+    return np.ascontiguousarray(dy[..., lag:]), x
 
 
-def _df_regression(y: np.ndarray, kind: str, lag: int) -> OlsFit:
-    """Dickey-Fuller regression with ``lag`` augmentation terms."""
-    lhs, level, trend, lagged = _df_columns(y, kind, lag)
-    return solve_ols(np.column_stack([level, *lagged, trend]), lhs)
+def _df_regression(y: np.ndarray, kind: str, lag: int) -> tuple[np.ndarray, OlsFit]:
+    """Dickey-Fuller regression with ``lag`` augmentation terms: (lhs, fit)."""
+    lhs, x = _df_design(y, kind, lag, trend_first=False)
+    return lhs, solve_ols(x, lhs)
 
 
-def _aic_lag(y: np.ndarray, kind: str, max_lags: int) -> int:
-    """The AIC-best order in 0..``max_lags`` on the common sample that
-    ``max_lags`` allows, from one QR of the widest design; ties go to the
-    smallest order.
+def _lag_aic(y: np.ndarray, kind: str, max_lags: int) -> np.ndarray:
+    """The AIC of every order 0..``max_lags`` on the common sample that
+    ``max_lags`` allows, from one QR of the widest design, for a series
+    or each row of a stack (the last axis indexes the order).
 
     Refuses as the first failing candidate's own fit would, with the same
     checks in the same order. Only the pivot ratio is read in this column
     order, so a design whose rounding puts it next to the 1e-12 gate can
     be decided differently from a fit of that candidate alone.
     """
-    lhs, level, trend, lagged = _df_columns(y, kind, max_lags)
-    x = np.column_stack([level, trend, *lagged])
-    nobs, width = x.shape
+    lhs, x = _df_design(y, kind, max_lags, trend_first=True)
+    nobs, width = x.shape[-2:]
     base = width - max_lags
     _, scale, q, r = scaled_factor(x)
     # A candidate's checks only fail more as columns are added, so if the
@@ -219,23 +240,77 @@ def _aic_lag(y: np.ndarray, kind: str, max_lags: int) -> int:
     if nobs <= width or design_defect(scale, r) is not None:
         for cols in range(base, width + 1):
             check_rows(nobs, cols)
-            defect = design_defect(scale[:cols], r[:cols, :cols])
+            defect = design_defect(scale[..., :cols], r[..., :cols, :cols])
             if defect is not None:
                 raise DegeneracyError(defect)
-    qty = q.T @ lhs
-    resid = lhs - q @ qty
+    qty = matvec(q.swapaxes(-1, -2), lhs)
+    resid = lhs - matvec(q, qty)
     # Candidate k leaves the Q'y components of lag columns k+1.. unexplained.
-    lag_parts = (qty * qty)[base:]
-    ssr = float(resid @ resid) + np.append(np.cumsum(lag_parts[::-1])[::-1], 0.0)
-    aic = nobs * np.log(ssr / nobs) + 2.0 * np.arange(base, width + 1)
-    return int(np.argmin(aic))  # the first minimum: ties go to the smaller order
+    lag_parts = (qty * qty)[..., base:]
+    unexplained = np.zeros((*lhs.shape[:-1], max_lags + 1))
+    unexplained[..., :-1] = np.cumsum(lag_parts[..., ::-1], axis=-1)[..., ::-1]
+    ssr = dot(resid, resid)[..., None] + unexplained
+    return nobs * np.log(ssr / nobs) + 2.0 * np.arange(base, width + 1)
 
 
-def _t_on_level(fit: OlsFit) -> float:
-    se = fit.standard_errors()[0]
-    if not se > 0.0:
+def _t_on_level(fit: OlsFit, lhs: np.ndarray):
+    """(t-ratio, standard error) on the lagged level, of one fit or of
+    each fit of a stack.
+
+    Refuses a fit whose residual sum of squares is rounding noise next
+    to lhs'lhs, on the 1e-12 relative scale of the pivot gate: the
+    statistic of an exact fit is a ratio of rounding errors.
+    """
+    se = fit.standard_errors()[..., 0]
+    if not (se > 0.0).all():
         raise DegeneracyError("zero standard error on the lagged level")
-    return float(fit.beta[0] / se)
+    if (fit.ssr <= 1e-24 * dot(lhs, lhs)).any():
+        raise DegeneracyError("the regression fits the differenced series exactly")
+    return fit.beta[..., 0] / se, se
+
+
+def adf_stack(
+    y: np.ndarray,
+    spec: str = INTERCEPT,
+    lags: int | None = None,
+    max_lags: int = 12,
+) -> list[UnitRootReport] | UnitRootReport:
+    """Augmented Dickey-Fuller test of each row of (S, n) finite y, one
+    report per row; :func:`adf_test` is its case of one series, y of
+    shape (n,), which gives one report.
+
+    The lag search factors one stacked widest design; the rows are then
+    refit in groups that chose the same order, one stacked regression per
+    group. Every row is computed as it would be alone (see
+    :mod:`currsub._ols`). A refusal of any row refuses the stack, with
+    that row's error.
+    """
+    _check_kind(spec)
+    y = np.asarray(y, dtype=float)
+    n = y.shape[-1]
+    if lags is not None:
+        if lags < 0:
+            raise ParameterError(f"lags must be >= 0, got {lags}")
+        needed = 20 + lags
+    else:
+        if max_lags < 0:
+            raise ParameterError(f"max_lags must be >= 0, got {max_lags}")
+        needed = 20 + max_lags
+    if n < needed:
+        raise DataError(f"need at least {needed} observations, got {n}")
+
+    if lags is None:
+        # The first minimum: ties go to the smaller order.
+        best = np.argmin(_lag_aic(y, spec, max_lags), axis=-1)
+    else:
+        best = np.full(y.shape[:-1], int(lags))
+    reports = np.empty(best.shape, dtype=object)
+    for lag in sorted(set(best.reshape(-1).tolist())):
+        rows = best == lag
+        lhs, fit = _df_regression(y if rows.all() else y[rows], spec, lag)
+        stats = _t_on_level(fit, lhs)[0].reshape(-1)
+        reports[rows] = [_report("ADF", spec, stat, lag, fit.nobs) for stat in stats]
+    return reports.tolist()
 
 
 def adf_test(
@@ -253,27 +328,10 @@ def adf_test(
     once and reads every candidate's SSR off that one QR: the candidates
     are nested, so dropping trailing columns moves exactly their Q'y
     components into the residual (see the module docstring). Only the
-    winning order is fit as a regression.
+    winning order is fit as a regression. This is the one-series case of
+    :func:`adf_stack`.
     """
-    _check_kind(spec)
-    y = s.values
-    if lags is not None:
-        if lags < 0:
-            raise ParameterError(f"lags must be >= 0, got {lags}")
-        best = int(lags)
-        needed = 20 + best
-    else:
-        if max_lags < 0:
-            raise ParameterError(f"max_lags must be >= 0, got {max_lags}")
-        needed = 20 + max_lags
-    if y.size < needed:
-        raise DataError(f"need at least {needed} observations, got {y.size}")
-
-    if lags is None:
-        best = _aic_lag(y, spec, max_lags)
-
-    fit = _df_regression(y, spec, best)
-    return _report("ADF", spec, _t_on_level(fit), best, fit.nobs)
+    return adf_stack(s.values, spec, lags, max_lags)
 
 
 def pp_test(
@@ -291,7 +349,7 @@ def pp_test(
     y = s.values
     if y.size < 25:
         raise DataError(f"need at least 25 observations, got {y.size}")
-    fit = _df_regression(y, spec, 0)
+    lhs, fit = _df_regression(y, spec, 0)
     nobs = fit.nobs
     if bandwidth is None:
         bandwidth = newey_west_bandwidth(nobs)
@@ -301,8 +359,7 @@ def pp_test(
     # Its bandwidth check refuses a negative value before any degeneracy error.
     lam2 = bartlett_long_run_variance(fit.resid, bandwidth)
 
-    tstat = _t_on_level(fit)
-    se_rho = fit.standard_errors()[0]
+    tstat, se_rho = _t_on_level(fit, lhs)
     s_hat = math.sqrt(fit.sigma2)
     gamma0 = fit.ssr / nobs
     if not lam2 > 0.0:

@@ -438,6 +438,14 @@ class TestMontecarlo:
         argv = ["montecarlo", "--seeds", "10", "--n", "10", *TABLE_FLAGS]
         assert main(argv) == 2
 
+    def test_sample_too_short_for_the_adf_exits_2(self, capsys):
+        # FM-OLS accepts 30 months; the first seed's spread ADF refuses them.
+        argv = ["montecarlo", "--seeds", "10", "--n", "30", *TABLE_FLAGS]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: need at least 32 observations, got 30\n"
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize("argv, message", [

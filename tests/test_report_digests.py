@@ -1,4 +1,4 @@
-"""The parity-digest tool: one line, the same on every run of one checkout."""
+"""The parity-digest tool: two lines, the same on every run of one checkout."""
 
 import importlib.util
 import re
@@ -7,10 +7,15 @@ from pathlib import Path
 TOOL_PATH = Path(__file__).resolve().parents[1] / "tools" / "report_digests.py"
 
 
-def test_digest_line_repeats_and_covers_the_grid():
+def load_tool():
     spec = importlib.util.spec_from_file_location("report_digests", TOOL_PATH)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_digest_line_repeats_and_covers_the_grid():
+    tool = load_tool()
     first = tool.report_digest(seeds=[0])
     assert tool.report_digest(seeds=[0]) == first
     reports, refused = re.fullmatch(
@@ -19,3 +24,13 @@ def test_digest_line_repeats_and_covers_the_grid():
     # One seed: five lengths x five configurations, each rendered or refused.
     assert int(reports) + int(refused) == 25
     assert tool.report_digest(seeds=[]) != first
+
+
+def test_montecarlo_line_repeats_and_sees_each_run():
+    tool = load_tool()
+    runs = ((10, 60, 0), (11, 60, 3))
+    first = tool.montecarlo_digest(runs)
+    assert tool.montecarlo_digest(runs) == first
+    assert re.fullmatch(r"montecarlo raw: 2 runs, sha256:[0-9a-f]{64}", first)
+    assert tool.montecarlo_digest(runs[:1]) != first
+    assert tool.montecarlo_digest(((10, 60, 1), runs[1])) != first

@@ -6,18 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from currsub.errors import (
-    AlignmentError,
-    DataError,
-    DegeneracyError,
-    SeriesDomainError,
-)
+from currsub.errors import DataError, DegeneracyError
 from currsub.series import (
     MonthlySeries,
     MonthStamp,
-    align,
     diff,
-    log_series,
     pearson_correlation,
     span_length,
 )
@@ -118,41 +111,7 @@ class TestMonthlySeries:
             s.with_values([1.0])
 
 
-class TestAlign:
-    def test_common_range(self):
-        a = MonthlySeries(MonthStamp(2001, 9), np.arange(6.0))
-        b = MonthlySeries(MonthStamp(2001, 11), np.arange(10.0))
-        aa, bb = align(a, b)
-        assert aa.start == bb.start == MonthStamp(2001, 11)
-        assert len(aa) == len(bb) == 4
-        assert_allclose(aa.values, [2.0, 3.0, 4.0, 5.0])
-        assert_allclose(bb.values, [0.0, 1.0, 2.0, 3.0])
-
-    def test_disjoint_ranges(self):
-        a = MonthlySeries(MonthStamp(2001, 9), [1.0, 2.0])
-        b = MonthlySeries(MonthStamp(2002, 9), [1.0, 2.0])
-        with pytest.raises(AlignmentError):
-            align(a, b)
-
-    @given(st.integers(0, 10), st.integers(0, 10))
-    def test_align_is_symmetric(self, off_a, off_b):
-        a = MonthlySeries(MonthStamp(2001, 1).shift(off_a), np.arange(12.0))
-        b = MonthlySeries(MonthStamp(2001, 1).shift(off_b), np.arange(12.0))
-        aa, bb = align(a, b)
-        aa2, bb2 = align(b, a)
-        assert aa.start == bb2.start and len(aa) == len(bb2)
-
-
 class TestTransforms:
-    def test_log_series(self):
-        s = MonthlySeries(MonthStamp(2001, 9), [1.0, np.e, np.e**2])
-        assert_allclose(log_series(s).values, [0.0, 1.0, 2.0], atol=1e-15)
-
-    def test_log_rejects_nonpositive_with_date(self):
-        s = MonthlySeries(MonthStamp(2001, 9), [1.0, 0.0, 2.0])
-        with pytest.raises(SeriesDomainError, match="2001-10"):
-            log_series(s)
-
     def test_diff_shifts_start(self):
         s = MonthlySeries(MonthStamp(2001, 9), [1.0, 4.0, 9.0, 16.0])
         d = diff(s)

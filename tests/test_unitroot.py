@@ -152,6 +152,16 @@ class TestAdf:
             with pytest.raises(DegeneracyError, match="^collinear regressors$"):
                 adf_test(series(np.full(60, 3.0)), kind)
 
+    def test_exact_fit_refused(self):
+        # dy = -0.1 * y exactly, so the lag-0 regression leaves an SSR of
+        # rounding noise (about 1e-32) and its t-ratio was about -1.2e16.
+        y = series(0.9 ** np.arange(60.0))
+        for kind in DETERMINISTIC_KINDS:
+            with pytest.raises(DegeneracyError, match="fits the differenced series exactly"):
+                adf_test(y, kind, lags=0)
+            with pytest.raises(DegeneracyError, match="fits the differenced series exactly"):
+                pp_test(y, kind)
+
     @pytest.mark.parametrize("n, max_lags", [(38, 18), (36, 16)])
     def test_candidate_as_wide_as_sample_refused(self, n, max_lags):
         # 19 common rows; candidate 16 is the first with 19 regressors.

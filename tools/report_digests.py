@@ -25,8 +25,16 @@ in order:
 
 The line reads ``<reports> reports, <refused> refused, sha256:<hex>``:
 a report is one run rendered, a refusal one run that raised a package
-error (a draw whose fitted sigma is not positive, for instance). Uses
-only the standard library and NumPy; takes about 15 s on 2 vCPUs.
+error (a draw whose fitted sigma is not positive, for instance).
+
+A second line, ``montecarlo raw: <runs> runs, sha256:<hex>``, hashes the
+unrounded ``run_montecarlo`` dicts (every key, value type and
+``float.hex``) of 50 seeds x 171 months and 61 seeds x 400 months. The
+rendering above keeps 9 digits, so it can miss a last-bit change that
+this line catches. Neither seed count is a multiple of the Monte Carlo's
+block of seeds (29 at 171 months, 12 at 400), so a partial last block is
+covered. Uses only the standard library and NumPy; takes about 5 s on
+2 vCPUs.
 """
 
 from __future__ import annotations
@@ -52,6 +60,8 @@ CONFIGS = (
     pipeline.PipelineConfig(trend_origin=MonthStamp(1990, 1)),
 )
 FMOLS_BANDWIDTHS = (None, 0, 5)
+# (n_seeds, n_obs, seed_base) of the raw Monte Carlo runs.
+MONTECARLO_RUNS = ((50, 171, 0), (61, 400, 7919))
 
 
 def _hex_line(values) -> bytes:
@@ -135,5 +145,29 @@ def report_digest(seeds=SEEDS) -> str:
     return f"{reports} reports, {refused} refused, sha256:{sha.hexdigest()}"
 
 
+def _raw_lines(obj, path: str = ""):
+    """One ``path type value`` line per leaf, floats as float.hex."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _raw_lines(value, f"{path}{key}.")
+    elif isinstance(obj, float):
+        yield f"{path} float {obj.hex()}\n"
+    else:
+        yield f"{path} {type(obj).__name__} {obj!r}\n"
+
+
+def montecarlo_digest(runs=MONTECARLO_RUNS) -> str:
+    """The raw Monte Carlo line, over (n_seeds, n_obs, seed_base) runs."""
+    sha = hashlib.sha256()
+    for n_seeds, n_obs, seed_base in runs:
+        mc = pipeline.MonteCarloConfig(
+            n_seeds=n_seeds, n_obs=n_obs, coeffs=TRUTH, noise=NOISE, seed_base=seed_base
+        )
+        for line in _raw_lines(pipeline.run_montecarlo(mc)):
+            sha.update(line.encode())
+    return f"montecarlo raw: {len(runs)} runs, sha256:{sha.hexdigest()}"
+
+
 if __name__ == "__main__":
     print(report_digest())
+    print(montecarlo_digest())
