@@ -2,7 +2,7 @@
 
 The package splits along the analysis stages:
 
-- :mod:`currsub.series`: monthly-calendar series container and transforms
+- :mod:`currsub.series`: monthly-calendar series container and correlation
 - :mod:`currsub.model`: the CES money-demand model and its synthetic DGP
 - :mod:`currsub.unitroot`: ADF and Phillips-Perron tests
 - :mod:`currsub.lrcov`: kernel long-run covariance estimation
@@ -23,7 +23,6 @@ from .errors import (
 from .series import (
     MonthStamp,
     MonthlySeries,
-    diff,
     pearson_correlation,
     span_length,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "ces_liquidity",
     "delta_at",
     "delta_ratio_at",
-    "diff",
     "fmols",
     "foc_euro_gap",
     "foc_money_gap",

@@ -92,10 +92,13 @@ def scaled_factor(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     """QR of x with unit-RMS columns, ungated: (xs, scale, q, r), xs = q @ r.
 
     xs = x / scale, except that a zero column stays zero, so that
-    :func:`design_defect` can name it. xs is x itself, divided in place:
-    one copy fewer of a stack of designs; pass a copy to keep x.
+    :func:`design_defect` can name it; a column whose scale overflows
+    becomes zero too, which it refuses as collinear. xs is x itself,
+    divided in place: one copy fewer of a stack of designs; pass a copy
+    to keep x.
     """
-    scale = np.sqrt((x * x).mean(axis=-2))
+    with np.errstate(over="ignore"):  # an inf scale zeroes its column
+        scale = np.sqrt((x * x).mean(axis=-2))
     xs = np.divide(x, np.where(scale > 0.0, scale, 1.0)[..., None, :], out=x)
     q, r = np.linalg.qr(xs)
     return xs, scale, q, r
@@ -127,15 +130,14 @@ def scaled_qr(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
 
 
 def solve_ols(x: np.ndarray, y: np.ndarray) -> OlsFit:
-    """Least squares of y on the columns of x; rejects rank deficiency.
+    """Least squares of y (n,) on the columns of x (n, k); rejects rank
+    deficiency.
 
     A stack of C-contiguous designs (S, n, k) and responses (S, n) gives
     a stack of S fits, refused if any one of them is.
     """
     x = np.array(x, dtype=float)  # a copy: it is scaled in place
     y = np.asarray(y, dtype=float)
-    if x.ndim == 2:
-        y = y.reshape(-1)
     if x.ndim not in (2, 3) or x.shape[:-1] != y.shape:
         raise DataError(f"incompatible shapes {x.shape} and {y.shape}")
     n, k = x.shape[-2:]

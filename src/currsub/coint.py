@@ -312,35 +312,41 @@ def fmols_stack(
     z[..., :-1] = trend
     z[..., -1] = x
 
-    first = solve_ols(z, y)
-    eta2 = np.diff(x)
-    lrc = long_run_cov(first.resid[..., 1:], eta2, bandwidth=bandwidth)
-    w11 = lrc.omega[..., 0, 0]
-    w12 = lrc.omega[..., 0, 1]
-    w22 = lrc.omega[..., 1, 1]
-    if not (w22 > 0.0).all():
-        raise DegeneracyError(
-            "the stochastic regressor has zero innovation variance"
-        )
+    # Data large enough to overflow this arithmetic are refused: by
+    # scaled_qr's collinearity gate, long_run_cov's finiteness check, or
+    # hansen_lc, which refuses the NaN omega112 they leave. NumPy's
+    # warnings would only precede the refusal.
+    with np.errstate(over="ignore", invalid="ignore"):
+        first = solve_ols(z, y)
+        eta2 = np.diff(x)
+        lrc = long_run_cov(first.resid[..., 1:], eta2, bandwidth=bandwidth)
+        w11 = lrc.omega[..., 0, 0]
+        w12 = lrc.omega[..., 0, 1]
+        w22 = lrc.omega[..., 1, 1]
+        if not (w22 > 0.0).all():
+            raise DegeneracyError(
+                "the stochastic regressor has zero innovation variance"
+            )
 
-    ratio = w12 / w22
-    y_plus = y[..., 1:] - ratio[..., None] * eta2
-    lam12_plus = lrc.lam[..., 0, 1] - ratio * lrc.lam[..., 1, 1]
-    bias = np.zeros((*y.shape[:-1], k))
-    bias[..., -1] = lam12_plus
+        ratio = w12 / w22
+        y_plus = y[..., 1:] - ratio[..., None] * eta2
+        lam12_plus = lrc.lam[..., 0, 1] - ratio * lrc.lam[..., 1, 1]
+        bias = np.zeros((*y.shape[:-1], k))
+        bias[..., -1] = lam12_plus
 
-    # Solve in column-scaled coordinates: the quadratic trend makes the
-    # raw moment matrix too ill-conditioned for a direct solve.
-    zt, scale, _, r = scaled_qr(z[..., 1:, :].copy())
-    bias_t = bias / scale
-    rhs = matvec(zt.swapaxes(-1, -2), y_plus) - (n - 1) * bias_t
-    theta_t = np.linalg.solve(r, np.linalg.solve(r.swapaxes(-1, -2), rhs[..., None]))
-    theta_t = theta_t[..., 0]
-    theta = theta_t / scale
+        # Solve in column-scaled coordinates: the quadratic trend makes the
+        # raw moment matrix too ill-conditioned for a direct solve.
+        zt, scale, _, r = scaled_qr(z[..., 1:, :].copy())
+        bias_t = bias / scale
+        rhs = matvec(zt.swapaxes(-1, -2), y_plus) - (n - 1) * bias_t
+        theta_t = np.linalg.solve(r, np.linalg.solve(r.swapaxes(-1, -2), rhs[..., None]))
+        theta_t = theta_t[..., 0]
+        theta = theta_t / scale
 
-    omega112 = w11 - w12 * w12 / w22
-    omega112 = np.where(omega112 < 0.0, 0.0, omega112)
-    var_y = np.var(y, axis=-1)
+        omega112 = w11 - w12 * w12 / w22
+        omega112 = np.where(np.isfinite(omega112), omega112, np.nan)
+        omega112 = np.where(omega112 < 0.0, 0.0, omega112)
+        var_y = np.var(y, axis=-1)
     # Exact or near-exact fits leave no long-run error variance to divide
     # by; such rows keep their coefficients with inference flagged degenerate.
     degenerate = omega112 <= 1e-12 * np.where(var_y < 1e-300, 1e-300, var_y)
@@ -397,19 +403,17 @@ def fmols(
     lag on the n - 1 innovation rows. The fit is the one-series case of
     :func:`fmols_stack`.
     """
-    _check_config(deterministics)
     if y.start != x.start or len(y) != len(x):
         raise DataError("series must be aligned (same start and length)")
     offset = 0 if trend_origin is None else y.start.index - trend_origin.index
     fit = fmols_stack(y.values, x.values, deterministics, bandwidth, offset)
     names = _param_names(deterministics)
     params = dict(zip(names, fit.theta.tolist()))
+    ses = dict(zip(names, fit.standard_errors.tolist()))
     lc = fit.lc[0]
     if fit.degenerate_inference[0]:
-        ses = dict.fromkeys(names, 0.0)
         tstats = dict.fromkeys(names, math.nan)
     else:
-        ses = dict(zip(names, fit.standard_errors.tolist()))
         tstats = {name: params[name] / ses[name] for name in names}
     return FmolsReport(
         deterministics=deterministics,

@@ -91,25 +91,19 @@ class LongRunCovariance:
 
 
 def _bartlett_sum(e: np.ndarray, bandwidth: int, lag_factor: float):
-    """gamma0 and gamma0 + lag_factor * sum_j w_j Gamma_j, for a vector, an
-    n x k matrix or a stack (..., n, k) of matrices e.
+    """gamma0 and gamma0 + lag_factor * sum_j w_j Gamma_j, for an n x k
+    matrix or a stack (..., n, k) of matrices e.
 
     Factor 1 gives the one-sided sum; factor 2 the two-sided sum of a
-    single vector, whose lag j and lag -j autocovariances coincide.
+    single column, whose lag j and lag -j autocovariances coincide.
     """
     bandwidth = int(bandwidth)
     if bandwidth < 0:
         raise ParameterError(f"bandwidth must be >= 0, got {bandwidth}")
-    if e.ndim == 1:
-        n = e.shape[0]
+    n = e.shape[-2]
 
-        def cross(j: int):  # the lag-j product sum_t e_t e_{t-j}
-            return e[j:] @ e[: n - j]
-    else:
-        n = e.shape[-2]
-
-        def cross(j: int):
-            return e[..., j:, :].swapaxes(-1, -2) @ e[..., : n - j, :]
+    def cross(j: int):  # the lag-j products sum_t e_t e_{t-j}'
+        return e[..., j:, :].swapaxes(-1, -2) @ e[..., : n - j, :]
 
     gamma0 = cross(0) / n
     total = gamma0
@@ -150,10 +144,10 @@ def bartlett_long_run_variance(e, bandwidth: int) -> float:
 
     Same weights and normalization as :func:`long_run_cov`, without the
     demeaning: intended for regression residuals that are already
-    orthogonal to an intercept.
+    orthogonal to an intercept. The sum runs on e as an n x 1 column.
     """
-    e = _as_values(e).reshape(-1)
-    n = e.size
+    e = _as_values(e).reshape(-1, 1)
+    n = e.shape[0]
     if n < 2:
         raise DataError(f"need at least 2 observations, got {n}")
-    return float(_bartlett_sum(e, bandwidth, 2.0)[1])
+    return float(_bartlett_sum(e, bandwidth, 2.0)[1][0, 0])

@@ -439,13 +439,13 @@ def simulate_paths(
 
     spread = np.empty((len(seeds), n))
     spread[:, 0] = 0.0
-    np.cumsum(steps, axis=-1, out=spread[:, 1:])
-    spread += spread_start
-    for k in range(1, n):
-        eps[:, k] = noise.rho * eps[:, k - 1] + shocks[:, k - 1]
-
     t = np.arange(n, dtype=float)
-    y = coeffs.v0 + coeffs.v1 * t + coeffs.v2 * t**2 + coeffs.sigma * spread + eps
+    with np.errstate(over="ignore", invalid="ignore"):  # require_finite refuses it
+        np.cumsum(steps, axis=-1, out=spread[:, 1:])
+        spread += spread_start
+        for k in range(1, n):
+            eps[:, k] = noise.rho * eps[:, k - 1] + shocks[:, k - 1]
+        y = coeffs.v0 + coeffs.v1 * t + coeffs.v2 * t**2 + coeffs.sigma * spread + eps
     for path in (y, spread, eps):
         require_finite(start, path)
     return y, spread, eps

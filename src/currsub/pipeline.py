@@ -288,7 +288,12 @@ def derive_series(rows: tuple[DatasetRow, ...], config: PipelineConfig) -> Deriv
     oc_dom = np.empty(len(rows))
     oc_for = np.empty(len(rows))
     for k, row in enumerate(rows):
-        ratio[k] = math.log(row.fx * row.m_eur / row.m_dom)
+        money_ratio = row.fx * row.m_eur / row.m_dom
+        if not 0.0 < money_ratio < math.inf:
+            raise SeriesDomainError(
+                f"{row.date}: fx * m_eur / m_dom is outside the floating-point range"
+            )
+        ratio[k] = math.log(money_ratio)
         try:
             oc_dom[k] = model.opportunity_cost(
                 _annual_pct_to_monthly(row.i_dom), phi_monthly
@@ -475,6 +480,14 @@ _SIM_I_EUR_ANNUAL_PCT = 4.0
 _SIM_M_DOM_LEVEL = 1.0e10
 
 
+def _exp(value: float) -> float:
+    """math.exp, inf where it overflows: the caller's range check refuses it."""
+    try:
+        return math.exp(value)
+    except OverflowError:
+        return math.inf
+
+
 def dataset_rows_from_simulation(
     sim: model.SimulatedDgp, phi_annual: float = 0.01
 ) -> tuple[DatasetRow, ...]:
@@ -492,7 +505,7 @@ def dataset_rows_from_simulation(
     rows = []
     dates = sim.log_money_ratio.dates()
     for k, date in enumerate(dates):
-        oc_dom = oc_for * math.exp(sim.oc_spread_log.values[k])
+        oc_dom = oc_for * _exp(sim.oc_spread_log.values[k])
         if not oc_dom < 1.0:
             raise DataError(f"{date}: spread too large to invert into a rate")
         i_dom_monthly = (oc_dom - phi_monthly) / (1.0 - oc_dom)
@@ -501,7 +514,7 @@ def dataset_rows_from_simulation(
             DatasetRow(
                 date=date,
                 m_dom=_SIM_M_DOM_LEVEL,
-                m_eur=_SIM_M_DOM_LEVEL * math.exp(sim.log_money_ratio.values[k]),
+                m_eur=_SIM_M_DOM_LEVEL * _exp(sim.log_money_ratio.values[k]),
                 fx=1.0,
                 i_dom=i_dom_annual_pct,
                 i_eur=_SIM_I_EUR_ANNUAL_PCT,

@@ -1,4 +1,4 @@
-"""Monthly-calendar time series: container, transforms, statistics.
+"""Monthly-calendar time series: container, finiteness check, correlation.
 
 Series are immutable after construction and sit on a strict monthly grid:
 observation ``k`` belongs to ``start`` advanced by ``k`` months, with no
@@ -22,7 +22,6 @@ __all__ = [
     "MonthlySeries",
     "span_length",
     "require_finite",
-    "diff",
     "pearson_correlation",
 ]
 
@@ -130,21 +129,6 @@ class MonthlySeries:
         return MonthlySeries(self.start, arr)
 
 
-def diff(s: MonthlySeries, order: int = 1) -> MonthlySeries:
-    """First differences applied ``order`` times.
-
-    The start advances by ``order`` months and the length shrinks by
-    ``order``.
-    """
-    if order < 1:
-        raise DataError(f"difference order must be >= 1, got {order}")
-    if len(s) <= order:
-        raise DataError(
-            f"need more than {order} observations to difference, have {len(s)}"
-        )
-    return MonthlySeries(s.start.shift(order), np.diff(s.values, n=order))
-
-
 def pearson_correlation(a: MonthlySeries, b: MonthlySeries) -> float:
     """Sample Pearson correlation of two aligned series.
 
@@ -158,10 +142,13 @@ def pearson_correlation(a: MonthlySeries, b: MonthlySeries) -> float:
         )
     if len(a) < 3:
         raise DataError(f"need at least 3 observations, have {len(a)}")
+    # Constancy is tested on the raw values: the mean of equal values can
+    # round away from them, which leaves a centred constant series nonzero.
+    constant = any((s.values == s.values[0]).all() for s in (a, b))
     x = a.values - a.values.mean()
     y = b.values - b.values.mean()
     sx = math.sqrt(float(x @ x))
     sy = math.sqrt(float(y @ y))
-    if sx == 0.0 or sy == 0.0:
+    if constant or sx == 0.0 or sy == 0.0:
         raise DegeneracyError("correlation undefined for a constant series")
     return float(x @ y) / (sx * sy)

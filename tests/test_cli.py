@@ -8,6 +8,7 @@ round trip simulate -> file -> analyze is exercised along the way.
 
 import json
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -402,6 +403,78 @@ class TestReadme:
         monkeypatch.chdir(tmp_path)
         exec(compile(block, "README.md", "exec"), {})
         assert len(capsys.readouterr().out.splitlines()) == 3
+
+
+def one_error_line(argv, capsys):
+    """``main``'s status and stderr, asserting that stderr is one ``error:``
+    line and stdout empty. A NumPy RuntimeWarning, which a shell caller
+    would see as stray stderr lines, is raised instead and fails the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(argv)
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+    return code, err
+
+
+def edited_copy(dataset, path, values, month=None):
+    """``dataset`` written to ``path`` with ``values`` (column -> text) set
+    in the row of ``month``, or in every row when ``month`` is None."""
+    lines = Path(dataset).read_text().splitlines()
+    header = lines[0].split(",")
+    out = [lines[0]]
+    for line in lines[1:]:
+        row = dict(zip(header, line.split(",")))
+        if month is None or row["date"] == month:
+            row.update(values)
+        out.append(",".join(row[name] for name in header))
+    path.write_text("\n".join(out) + "\n")
+    return str(path)
+
+
+class TestOutOfRangeArithmetic:
+    """Finite inputs whose arithmetic leaves the floating-point range exit
+    with one error line: no traceback, no NumPy warning."""
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--v0", "800", "--v1", "0", "--v2", "0", "--sigma", "1"], "m_eur is not finite"),
+        ([*TABLE_FLAGS, "--spread-start", "1e308"], "spread too large to invert into a rate"),
+    ], ids=["money-stock", "spread"])
+    def test_simulate_overflow_exits_2(self, tmp_path, capsys, flags, message):
+        argv = ["simulate", "--n", "171", *flags, "--seed", "1",
+                "--output", str(tmp_path / "x.csv")]
+        assert one_error_line(argv, capsys) == (2, f"error: 2001-09: {message}\n")
+
+    @pytest.mark.parametrize("command", ["unit-root", "estimate", "delta-path"])
+    def test_underflowing_money_ratio_exits_2(self, dataset, tmp_path, capsys, command):
+        # Each value is positive and finite; fx * m_eur / m_dom is 0.
+        path = edited_copy(dataset, tmp_path / "tiny.csv",
+                           {"m_eur": "1e-300", "fx": "1e-300"}, month="2003-04")
+        assert main(["ingest-check", path]) == 0
+        capsys.readouterr()
+        assert one_error_line([command, path], capsys) == (
+            2, "error: 2003-04: fx * m_eur / m_dom is outside the floating-point range\n")
+
+    def test_constant_money_ratio_share_path_exits_3(self, dataset, tmp_path, capsys):
+        # FM-OLS fits the constant exactly; its sigma is rounding noise.
+        path = edited_copy(dataset, tmp_path / "flat.csv", {"m_eur": "2.5e9"})
+        assert one_error_line(["delta-path", path], capsys) == (
+            3, "error: correlation undefined for a constant series\n")
+
+    @pytest.mark.parametrize("flags, code, message", [
+        (["--v0", "0", "--v1", "0", "--v2", "1e305", "--sigma", "1"],
+         2, "non-finite value at 2005-04 (position 43)"),
+        (["--v0", "0", "--v1", "0", "--v2", "0", "--sigma", "1e300"],
+         3, "conditional long-run variance must be > 0, got nan"),
+        ([*TABLE_FLAGS, "--spread-sd", "1e300"], 3, "collinear regressors"),
+        ([*TABLE_FLAGS, "--spread-sd", "1e100"],
+         3, "conditional long-run variance must be > 0, got nan"),
+    ], ids=["trend", "sigma", "spread-scale", "spread-covariance"])
+    def test_montecarlo_overflow_exits_with_one_line(self, capsys, flags, code, message):
+        argv = ["montecarlo", "--seeds", "10", "--n", "171", *flags]
+        assert one_error_line(argv, capsys) == (code, f"error: {message}\n")
 
 
 class TestMontecarlo:

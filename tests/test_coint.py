@@ -270,6 +270,26 @@ class TestFmolsErrors:
         with pytest.raises(ParameterError):
             coint.fmols(y, random_walk(26, 60), deterministics="cubic")
 
+    def test_alignment_is_checked_before_the_configuration(self):
+        y = random_walk(20, 60)
+        x = MonthlySeries(START.shift(1), y.values.copy())
+        with pytest.raises(DataError, match="aligned"):
+            coint.fmols(y, x, deterministics="cubic")
+
+    def test_ramp_regressor_has_zero_innovation_variance(self):
+        # A ramp's differences are constant: the regressor never innovates.
+        with pytest.raises(DegeneracyError, match="zero innovation variance"):
+            coint.fmols(random_walk(27, 60), series(np.arange(60.0)),
+                        deterministics=coint.CONST)
+
+    def test_ramp_row_refuses_the_stack(self):
+        sims = [simulate_dgp(TABLE_COEFFS, 60, NOISE, seed) for seed in range(4)]
+        y = np.array([sim.log_money_ratio.values for sim in sims])
+        x = np.array([sim.oc_spread_log.values for sim in sims])
+        x[2] = np.arange(60.0)
+        with pytest.raises(DegeneracyError, match="zero innovation variance"):
+            coint.fmols_stack(y, x, deterministics=coint.CONST)
+
 
 class TestFmolsReportType:
     def _report(self):

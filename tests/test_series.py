@@ -1,4 +1,4 @@
-"""Tests for the monthly-series container and its transforms."""
+"""Tests for the monthly-series container and its correlation."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from currsub.errors import DataError, DegeneracyError
 from currsub.series import (
     MonthlySeries,
     MonthStamp,
-    diff,
     pearson_correlation,
     span_length,
 )
@@ -111,24 +110,6 @@ class TestMonthlySeries:
             s.with_values([1.0])
 
 
-class TestTransforms:
-    def test_diff_shifts_start(self):
-        s = MonthlySeries(MonthStamp(2001, 9), [1.0, 4.0, 9.0, 16.0])
-        d = diff(s)
-        assert d.start == MonthStamp(2001, 10)
-        assert_allclose(d.values, [3.0, 5.0, 7.0])
-        d2 = diff(s, order=2)
-        assert d2.start == MonthStamp(2001, 11)
-        assert_allclose(d2.values, [2.0, 2.0])
-
-    def test_diff_needs_enough_points(self):
-        s = MonthlySeries(MonthStamp(2001, 9), [1.0, 2.0])
-        with pytest.raises(DataError):
-            diff(s, order=2)
-        with pytest.raises(DataError):
-            diff(s, order=0)
-
-
 class TestPearsonCorrelation:
     def test_perfect_positive_and_negative(self):
         x = MonthlySeries(MonthStamp(2001, 9), [1.0, 2.0, 3.0, 4.0])
@@ -160,3 +141,13 @@ class TestPearsonCorrelation:
         c = a.with_values(np.full(5, 3.0))
         with pytest.raises(DegeneracyError):
             pearson_correlation(a, c)
+
+    def test_constant_series_whose_mean_rounds_off_is_degenerate(self):
+        # The mean of these 171 equal values is one ulp away from them, so
+        # centring leaves a constant series that is not exactly zero.
+        a = MonthlySeries(MonthStamp(2001, 9), np.arange(171.0))
+        c = a.with_values(np.full(171, np.log(0.25)))
+        assert c.values.mean() != c.values[0]
+        for pair in ((a, c), (c, a)):
+            with pytest.raises(DegeneracyError, match="constant series"):
+                pearson_correlation(*pair)

@@ -19,8 +19,9 @@ independent checks guard against transcription drift:
    (0.347 / 0.463 / 0.739 at 10 / 5 / 1 percent);
 2. the scalar detrended variant of the same reduction has known
    quantiles as well (0.119 / 0.146 / 0.216);
-3. a sample of draws is re-run through currsub.coint.fmols and the two
-   Lc values must agree to 1e-8.
+3. a sample of draws (50 series of 171 months per configuration) is
+   re-run through currsub.coint.fmols_stack, whose rows are
+   currsub.coint.fmols's fits, and the two Lc values must agree to 1e-8.
 
 Usage: python tools/simulate_lc_critical_values.py [--reps 100000]
            [--t 2000] [--seed 20260815] [--chunk 250] [--quick]
@@ -185,30 +186,19 @@ def run_validation(reps: int, t_len: int, chunk: int, seed: int) -> bool:
 
 
 def run_package_check(seed: int) -> bool:
-    """Batched Lc must equal the package's fmols Lc on identical data."""
+    """Batched Lc must equal the package's fmols_stack Lc on identical data."""
     try:
         from currsub import coint
-        from currsub.series import MonthStamp, MonthlySeries
     except ImportError:
         print("package check failed: currsub not importable", flush=True)
         return False
     print("validation: batched arithmetic vs currsub.coint.fmols", flush=True)
-    t_len = 171
-    start = MonthStamp(2001, 9)
     ok = True
     for config, powers in CONFIG_TREND_POWERS.items():
-        batch = simulate_lc_chunk(np.random.default_rng(seed), 50, t_len, powers)
-        x, y = _draws(np.random.default_rng(seed), 50, t_len)
-        gaps = []
-        for r in range(50):
-            rep = coint.fmols(
-                MonthlySeries(start, y[r]),
-                MonthlySeries(start, x[r]),
-                deterministics=config,
-                bandwidth=0,
-            )
-            gaps.append(abs(rep.lc_statistic - batch[r]))
-        gap = max(gaps)
+        batch = simulate_lc_chunk(np.random.default_rng(seed), 50, 171, powers)
+        x, y = _draws(np.random.default_rng(seed), 50, 171)
+        fit = coint.fmols_stack(y, x, deterministics=config, bandwidth=0)
+        gap = max(abs(lc.statistic - b) for lc, b in zip(fit.lc, batch.tolist()))
         status = "ok" if gap < 1e-8 else "FAIL"
         if gap >= 1e-8:
             ok = False
