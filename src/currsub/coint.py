@@ -313,9 +313,10 @@ def fmols_stack(
     z[..., -1] = x
 
     # Data large enough to overflow this arithmetic are refused: by
-    # scaled_qr's collinearity gate, long_run_cov's finiteness check, or
-    # hansen_lc, which refuses the NaN omega112 they leave. NumPy's
-    # warnings would only precede the refusal.
+    # scaled_qr's collinearity gate, long_run_cov's finiteness check,
+    # hansen_lc, which refuses the NaN omega112 they leave, or the R^2
+    # check of the sums of squares. NumPy's warnings would only precede
+    # the refusal.
     with np.errstate(over="ignore", invalid="ignore"):
         first = solve_ols(z, y)
         eta2 = np.diff(x)
@@ -347,9 +348,19 @@ def fmols_stack(
         omega112 = np.where(np.isfinite(omega112), omega112, np.nan)
         omega112 = np.where(omega112 < 0.0, 0.0, omega112)
         var_y = np.var(y, axis=-1)
+        resid_full = y - matvec(z, theta)
+        centered = y - y.mean(axis=-1, keepdims=True)
+        ssrs = dot(resid_full, resid_full).reshape(-1)
+        tsss = dot(centered, centered).reshape(-1)
     # Exact or near-exact fits leave no long-run error variance to divide
     # by; such rows keep their coefficients with inference flagged degenerate.
-    degenerate = omega112 <= 1e-12 * np.where(var_y < 1e-300, 1e-300, var_y)
+    # A constant y is one however rounding leaves omega112, as the gate's
+    # scale var(y) is then 0; it is tested on the raw values, whose mean
+    # can round away from them.
+    constant_y = (y == y[..., :1]).all(axis=-1)
+    degenerate = constant_y | (
+        omega112 <= 1e-12 * np.where(var_y < 1e-300, 1e-300, var_y)
+    )
 
     r_inv = np.linalg.solve(r, np.eye(k))
     xtx_inv_t = r_inv @ r_inv.swapaxes(-1, -2)
@@ -369,10 +380,8 @@ def fmols_stack(
         for row_degenerate, row_scores, row_moment, w in rows
     )
 
-    resid_full = y - matvec(z, theta)
-    centered = y - y.mean(axis=-1, keepdims=True)
-    ssrs = dot(resid_full, resid_full).reshape(-1)
-    tsss = dot(centered, centered).reshape(-1)
+    if not (np.isfinite(ssrs).all() and np.isfinite(tsss).all()):
+        raise DegeneracyError("R^2 undefined: a sum of squares is not finite")
     r_squared = tuple(_r_squared(a, b) for a, b in zip(ssrs.tolist(), tsss.tolist()))
     for value in r_squared:
         if not 0.0 <= value <= 1.0:  # FmolsReport's check, for rows never reported

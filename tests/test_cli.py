@@ -471,7 +471,9 @@ class TestOutOfRangeArithmetic:
         ([*TABLE_FLAGS, "--spread-sd", "1e300"], 3, "collinear regressors"),
         ([*TABLE_FLAGS, "--spread-sd", "1e100"],
          3, "conditional long-run variance must be > 0, got nan"),
-    ], ids=["trend", "sigma", "spread-scale", "spread-covariance"])
+        (["--v0", "-0.037619", "--v1", "-0.012215", "--v2", "0.000042", "--sigma", "1e154"],
+         3, "R^2 undefined: a sum of squares is not finite"),
+    ], ids=["trend", "sigma", "spread-scale", "spread-covariance", "r-squared"])
     def test_montecarlo_overflow_exits_with_one_line(self, capsys, flags, code, message):
         argv = ["montecarlo", "--seeds", "10", "--n", "171", *flags]
         assert one_error_line(argv, capsys) == (code, f"error: {message}\n")

@@ -137,6 +137,29 @@ class TestFmolsExactFit:
         assert rep.params["v2"] == pytest.approx(4e-5, abs=1e-10)
         assert rep.degenerate_inference
 
+    @pytest.mark.parametrize("level", [2.5, 0.1])
+    def test_constant_y_is_degenerate(self, level):
+        # var(y) is 0, so the omega112 gate alone would compare rounding
+        # noise with its floor; 0.1's mean also rounds away from 0.1.
+        rep = coint.fmols(series(np.full(60, level)), random_walk(27, 60))
+        assert rep.degenerate_inference
+        assert all(se == 0.0 for se in rep.standard_errors.values())
+        assert all(math.isnan(t) for t in rep.t_statistics.values())
+        assert rep.lc_statistic is None
+        assert rep.lc_p_value_range is None
+        assert rep.lc_stable_at_10pct is None
+
+    def test_constant_y_row_is_degenerate_in_a_stack(self):
+        sims = [simulate_dgp(TABLE_COEFFS, 60, NOISE, seed) for seed in range(4)]
+        y = np.array([sim.log_money_ratio.values for sim in sims])
+        x = np.array([sim.oc_spread_log.values for sim in sims])
+        y[2] = 2.5
+        fit = coint.fmols_stack(y, x)
+        assert fit.degenerate_inference == (False, False, True, False)
+        assert [lc is None for lc in fit.lc] == [False, False, True, False]
+        assert (fit.standard_errors[2] == 0.0).all()
+        assert (fit.standard_errors[[0, 1, 3]] > 0.0).all()
+
 
 class TestFmolsAgainstFirstStage:
     def test_no_correction_needed_equals_ols(self):

@@ -1,6 +1,7 @@
 """The Lc critical-value tool's batched arithmetic against the package's fmols."""
 
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -57,6 +58,79 @@ def test_chunk_equals_fmols_lc(tool, config):
             bandwidth=0,
         )
         assert abs(rep.lc_statistic - batch[r]) < 1e-8
+
+
+def einsum_lc(tool, rng, reps, t_len, powers):
+    """simulate_lc_chunk's statistic as its definition reads: moments as
+    means of products, scores time-major, and sum_t S_t' M^-1 S_t as one
+    three-operand einsum."""
+    d = tool._deterministics(t_len, powers)
+    p = d.shape[1]
+    x, y = tool._draws(rng, reps, t_len)
+    resid, _ = tool._fit(d, x, y)
+    r1 = resid[:, 1:]
+    dx = np.diff(x, axis=1)
+    r1c = r1 - r1.mean(axis=1, keepdims=True)
+    dxc = dx - dx.mean(axis=1, keepdims=True)
+    g11 = (r1c * r1c).mean(axis=1)
+    g12 = (r1c * dxc).mean(axis=1)
+    g22 = (dxc * dxc).mean(axis=1)
+    y_plus = y[:, 1:] - (g12 / g22)[:, None] * dx
+    u_plus, mom1 = tool._fit(d[1:], x[:, 1:], y_plus)
+    scores = np.empty((reps, t_len - 1, p + 1))
+    scores[:, :, :p] = d[None, 1:, :] * u_plus[:, :, None]
+    scores[:, :, p] = x[:, 1:] * u_plus
+    cum = np.cumsum(scores, axis=1)
+    quad = np.einsum("rti,rij,rtj->r", cum, np.linalg.inv(mom1), cum)
+    return quad / ((t_len - 1) * (g11 - g12 * g12 / g22))
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+def test_chunk_equals_einsum_definition(tool, config):
+    reps, t_len, seed = 8, 120, 5
+    powers = tool.CONFIG_TREND_POWERS[config]
+    batch = tool.simulate_lc_chunk(np.random.default_rng(seed), reps, t_len, powers)
+    expect = einsum_lc(tool, np.random.default_rng(seed), reps, t_len, powers)
+    np.testing.assert_allclose(batch, expect, rtol=1e-12, atol=0.0)
+
+
+def test_chunk_of_one_rep(tool):
+    lc = tool.simulate_lc_chunk(np.random.default_rng(3), 1, 60, (0, 1))
+    assert lc.shape == (1,)
+    assert lc[0] == pytest.approx(
+        einsum_lc(tool, np.random.default_rng(3), 1, 60, (0, 1))[0], rel=1e-12
+    )
+
+
+def test_mean_case_vector_equals_scalar_with_a_constant(tool):
+    # With a constant only, the vector Lc and the scalar partial-sum
+    # statistic are the same number; anything else is an indexing bug.
+    lc, scalar = tool.simulate_mean_case_chunk(np.random.default_rng(9), 8, 120, (0,))
+    assert lc.shape == scalar.shape == (8,)
+    assert np.abs(lc - scalar).max() < 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 50, 2000, 100_000])
+def test_quantile_interval_brackets_the_sample_quantile(tool, n):
+    sample = np.sort(np.random.default_rng(n).standard_normal(n))
+    for prob in tool.TAIL_PROBS:
+        lo, hi = tool.quantile_ci_ranks(n, 1.0 - prob)
+        assert 1 <= lo <= hi <= n
+        assert sample[lo - 1] <= np.quantile(sample, 1.0 - prob) <= sample[hi - 1]
+
+
+@pytest.mark.parametrize("n", [2000, 100_000])  # --quick and the default reps
+def test_quantile_interval_covers_at_least_95_percent(tool, n):
+    # X_(lo) <= xi_q < X_(hi) exactly when Binomial(n, q) lies in [lo, hi - 1].
+    for prob in tool.TAIL_PROBS:
+        q = 1.0 - prob
+        lo, hi = tool.quantile_ci_ranks(n, q)
+        log_pmf = (
+            math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1)
+            + j * math.log(q) + (n - j) * math.log1p(-q)
+            for j in range(lo, hi)
+        )
+        assert sum(map(math.exp, log_pmf)) >= 0.95
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,11 @@ T and tabulates upper-tail quantiles of Lc.
 The batched arithmetic mirrors currsub.coint.fmols at bandwidth 0 but
 solves normal equations (``_fit``, both stages) instead of the package's
 scaled QR: the trend block is shared by every rep, so the (reps, T, k)
-design is never built, and a QR of it costs more time and memory. Three
+design is never built, and a QR of it costs more time and memory. The
+cumulated scores are laid out time-last, (reps, k, T - 1), so the running
+sum walks contiguous rows in place, and Hansen's quadratic form
+sum_t S_t' M^-1 S_t is read off the k x k Gram matrix sum_t S_t S_t' as
+sum_ij (M^-1)_ij G_ij: one batched matrix product per chunk. Three
 independent checks guard against transcription drift:
 
 1. the no-regressor mean case reduces Lc to the classic level
@@ -29,17 +33,21 @@ Usage: python tools/simulate_lc_critical_values.py [--reps 100000]
 --reps and --chunk must be at least 1, --t at least 30 and --seed at least 0
 (exit 2 otherwise).
 
-Prints the dict literal to paste into currsub/coint.py.
+Prints each configuration's quantiles, each with a distribution-free 95%
+order-statistic confidence interval, then the dict literal to paste into
+currsub/coint.py.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
 
 TAIL_PROBS = (0.20, 0.15, 0.10, 0.075, 0.05, 0.025, 0.01)
+Z_95 = 1.959964  # two-sided 95% standard normal quantile
 
 CONFIG_TREND_POWERS = {
     "const": (0,),
@@ -83,6 +91,36 @@ def _chunk_sizes(reps: int, chunk: int) -> list[int]:
     return [min(chunk, reps - done) for done in range(0, reps, chunk)]
 
 
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row of (reps, n) a with the same row of b."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _cumulated_quad(scores: np.ndarray, moment: np.ndarray) -> np.ndarray:
+    """sum_t S_t' M^-1 S_t per rep, S_t the running sums of time-last
+    ``scores`` (reps, k, n) and M the (reps, k, k) or (k, k) ``moment``.
+
+    The sum equals sum_ij (M^-1)_ij G_ij with the Gram matrix
+    G = sum_t S_t S_t': one batched k x k product instead of n quadratic
+    forms. The running sums overwrite ``scores``.
+    """
+    np.cumsum(scores, axis=2, out=scores)
+    return (np.linalg.inv(moment) * (scores @ scores.swapaxes(1, 2))).sum(axis=(1, 2))
+
+
+def quantile_ci_ranks(n: int, q: float) -> tuple[int, int]:
+    """1-based ranks (lo, hi) of the order statistics of n draws that bracket
+    the q-quantile with probability about 95%, whatever the distribution.
+
+    X_(lo) <= xi_q < X_(hi) holds when the count of draws at or below xi_q,
+    Binomial(n, q), lies in [lo, hi - 1]; the bounds are its normal
+    approximation n q -/+ 1.96 sd, widened to whole ranks and clipped to
+    [1, n].
+    """
+    half = Z_95 * math.sqrt(n * q * (1.0 - q))
+    return max(math.floor(n * q - half), 1), min(math.ceil(n * q + half) + 1, n)
+
+
 def simulate_lc_chunk(
     rng: np.random.Generator, reps: int, t_len: int, powers: tuple[int, ...]
 ) -> np.ndarray:
@@ -92,6 +130,12 @@ def simulate_lc_chunk(
     and two-sided long-run covariances coincide with the contemporaneous
     one, so the serial-correlation bias term is identically zero and only
     the endogeneity correction to y survives.
+
+    The scores are built time-last, as (reps, k, T - 1), so their running
+    sums S_t run in place along contiguous rows, and sum_t S_t' M^-1 S_t
+    is read off the k x k Gram matrix sum_t S_t S_t' (``_cumulated_quad``);
+    it agrees with a T-long loop of quadratic forms to rounding (about
+    1e-13 relative).
 
     The inputs come from ``_draws(rng, reps, t_len)``.
     """
@@ -108,9 +152,9 @@ def simulate_lc_chunk(
     dx = np.diff(x, axis=1)
     r1c = r1 - r1.mean(axis=1, keepdims=True)
     dxc = dx - dx.mean(axis=1, keepdims=True)
-    g11 = (r1c * r1c).mean(axis=1)
-    g12 = (r1c * dxc).mean(axis=1)
-    g22 = (dxc * dxc).mean(axis=1)
+    g11, g12, g22 = (
+        _row_dot(a, b) / m for a, b in ((r1c, r1c), (r1c, dxc), (dxc, dxc))
+    )
 
     y_plus = y[:, 1:] - (g12 / g22)[:, None] * dx
     omega112 = g11 - g12 * g12 / g22
@@ -119,13 +163,10 @@ def simulate_lc_chunk(
     x1 = x[:, 1:]
     u_plus, mom1 = _fit(d1, x1, y_plus)
 
-    scores = np.empty((reps, m, k))
-    scores[:, :, :p] = d1[None, :, :] * u_plus[:, :, None]
-    scores[:, :, p] = x1 * u_plus
-    cum = np.cumsum(scores, axis=1)
-    minv = np.linalg.inv(mom1)
-    quad = np.einsum("rti,rij,rtj->r", cum, minv, cum)
-    return quad / (m * omega112)
+    scores = np.empty((reps, k, m))
+    np.multiply(d1.T[None], u_plus[:, None, :], out=scores[:, :p])
+    np.multiply(x1, u_plus, out=scores[:, p])
+    return _cumulated_quad(scores, mom1) / (m * omega112)
 
 
 def simulate_mean_case_chunk(
@@ -138,11 +179,7 @@ def simulate_mean_case_chunk(
     resid = y - beta @ d.T
     omega = (resid * resid).mean(axis=1)
 
-    scores = d[None, :, :] * resid[:, :, None]
-    cum = np.cumsum(scores, axis=1)
-    minv = np.linalg.inv(d.T @ d)
-    quad = np.einsum("rti,ij,rtj->r", cum, minv, cum)
-    lc = quad / (t_len * omega)
+    lc = _cumulated_quad(d.T[None] * resid[:, None, :], d.T @ d) / (t_len * omega)
 
     s = np.cumsum(resid, axis=1)
     scalar = (s * s).sum(axis=1) / (t_len**2 * omega)
@@ -243,8 +280,14 @@ def main(argv: list[str] | None = None) -> int:
         table[config] = {
             prob: float(np.quantile(sample, 1.0 - prob)) for prob in TAIL_PROBS
         }
-        row = ", ".join(f"{p:g}: {v:.4f}" for p, v in table[config].items())
-        print(f"  {config}: {row}", flush=True)
+        ordered = np.sort(sample)
+        cells = []
+        for prob, value in table[config].items():
+            lo, hi = quantile_ci_ranks(len(ordered), 1.0 - prob)
+            cells.append(
+                f"{prob:g}: {value:.4f} [{ordered[lo - 1]:.4f}, {ordered[hi - 1]:.4f}]"
+            )
+        print(f"  {config}: {', '.join(cells)}", flush=True)
 
     # Upper-tail mass at the benchmark statistic for the quadratic case,
     # reported so the table can be sanity-checked against an external
