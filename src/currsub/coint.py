@@ -313,12 +313,14 @@ def fmols_stack(
     z[..., -1] = x
 
     # Data large enough to overflow this arithmetic are refused: by
-    # scaled_qr's collinearity gate, long_run_cov's finiteness check,
-    # hansen_lc, which refuses the NaN omega112 they leave, or the R^2
-    # check of the sums of squares. NumPy's warnings would only precede
-    # the refusal.
+    # scaled_qr's collinearity gate, the first-stage residual check,
+    # long_run_cov's finiteness check, hansen_lc, which refuses the NaN
+    # omega112 they leave, or the R^2 check of the sums of squares.
+    # NumPy's warnings would only precede the refusal.
     with np.errstate(over="ignore", invalid="ignore"):
         first = solve_ols(z, y)
+        if not np.isfinite(first.resid).all():
+            raise DegeneracyError("FM-OLS first-stage residuals are not finite")
         eta2 = np.diff(x)
         lrc = long_run_cov(first.resid[..., 1:], eta2, bandwidth=bandwidth)
         w11 = lrc.omega[..., 0, 0]

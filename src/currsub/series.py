@@ -28,6 +28,12 @@ __all__ = [
 _DATE_RE = re.compile(r"^(\d{4})-(\d{2})$")
 
 
+def _month_label(index: int) -> str:
+    """``YYYY-MM`` of the month ``index`` months after 0000-01: the one
+    spelling of a month, parsed back by :meth:`MonthStamp.parse`."""
+    return f"{index // 12:04d}-{index % 12 + 1:02d}"
+
+
 @dataclass(frozen=True, order=True)
 class MonthStamp:
     """A calendar month, totally ordered by (year, month)."""
@@ -60,7 +66,7 @@ class MonthStamp:
         return cls(int(m.group(1)), int(m.group(2)))
 
     def __str__(self) -> str:
-        return f"{self.year:04d}-{self.month:02d}"
+        return _month_label(self.index)
 
 
 def require_finite(start: MonthStamp, values: np.ndarray) -> None:
@@ -107,6 +113,11 @@ class MonthlySeries:
 
     def dates(self) -> list[MonthStamp]:
         return [self.start.shift(k) for k in range(len(self))]
+
+    def labels(self) -> list[str]:
+        """``str`` of each of :meth:`dates`, without building the stamps."""
+        first = self.start.index
+        return [_month_label(index) for index in range(first, first + len(self))]
 
     def slice(self, begin: MonthStamp, end: MonthStamp) -> "MonthlySeries":
         """Restrict to the inclusive range [begin, end]."""

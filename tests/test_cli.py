@@ -473,7 +473,10 @@ class TestOutOfRangeArithmetic:
          3, "conditional long-run variance must be > 0, got nan"),
         (["--v0", "-0.037619", "--v1", "-0.012215", "--v2", "0.000042", "--sigma", "1e154"],
          3, "R^2 undefined: a sum of squares is not finite"),
-    ], ids=["trend", "sigma", "spread-scale", "spread-covariance", "r-squared"])
+        (["--v0", "1e308", "--v1", "0", "--v2", "0", "--sigma", "0.2"],
+         3, "FM-OLS first-stage residuals are not finite"),
+    ], ids=["trend", "sigma", "spread-scale", "spread-covariance", "r-squared",
+            "first-stage"])
     def test_montecarlo_overflow_exits_with_one_line(self, capsys, flags, code, message):
         argv = ["montecarlo", "--seeds", "10", "--n", "171", *flags]
         assert one_error_line(argv, capsys) == (code, f"error: {message}\n")

@@ -1,6 +1,8 @@
 """CSV ingestion, series derivation, and the batch analysis drivers."""
 
+import csv
 import hashlib
+import io
 import json
 import math
 import re
@@ -152,6 +154,13 @@ class TestIngest:
         with pytest.raises(IngestionError, match="fields"):
             ingest_rows(text)
 
+    def test_refused_row_named_by_physical_line(self):
+        # Blank lines are skipped but still counted: the short row is line 6.
+        text = CSV_FX.rsplit("\n", 2)[0] + "\n\n\n2001-11,101.0,22.0\n"
+        message = "line 6: wrong number of fields"
+        with pytest.raises(IngestionError, match=f"^{re.escape(message)}$"):
+            ingest_rows(text)
+
     def test_empty_input_rejected(self):
         with pytest.raises(IngestionError, match="empty"):
             ingest_rows("")
@@ -240,6 +249,33 @@ class TestIngestProperties:
             pad=layout.draw(st.sampled_from(["", " ", "  "])),
         )
         assert ingest_rows(text) == expected
+
+    @_PROPERTY_SETTINGS
+    @given(data=_datasets(), layout=st.data())
+    def test_blank_lines_do_not_change_rows(self, data, layout):
+        columns, records = data
+        expected = ingest_rows(_csv(columns, records))
+        newline = layout.draw(st.sampled_from(["\n", "\r\n"]))
+        lines = _csv(columns, records, newline).split(newline)[:-1]
+        blanks = layout.draw(st.lists(st.integers(0, 2), min_size=len(lines),
+                                      max_size=len(lines)))
+        text = "".join(line + newline * (1 + extra) for line, extra in zip(lines, blanks))
+        assert ingest_rows(text) == expected
+
+    @_PROPERTY_SETTINGS
+    @given(data=_datasets(), pick=st.data())
+    def test_wrong_field_count_names_physical_line(self, data, pick):
+        columns, records = data
+        k = pick.draw(st.integers(0, len(records) - 1))
+        lines = _csv(columns, records).splitlines()
+        line = lines[k + 1]
+        bad = line + ",1.0" if pick.draw(st.booleans()) else line.rsplit(",", 1)[0]
+        blanks = pick.draw(st.integers(0, 3))
+        # Blank lines before the bad row are skipped but still counted.
+        lines[k + 1 : k + 2] = [""] * blanks + [bad]
+        message = f"line {k + 2 + blanks}: wrong number of fields"
+        with pytest.raises(IngestionError, match=f"^{re.escape(message)}$"):
+            ingest_rows("\n".join(lines) + "\n")
 
     @_PROPERTY_SETTINGS
     @given(data=_datasets(), pick=st.data())
@@ -628,3 +664,119 @@ class TestReportRendering:
         assert lines[0] == "date,ratio"
         assert len(lines) == 172
         assert lines[1].startswith("2001-09,")
+
+
+def _reference_round(obj):
+    """The two-pass renderer's first pass: every float to 9 significant
+    digits, non-finite ones to None."""
+    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
+        return obj
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            return None
+        return float(format(float(obj), ".9g"))
+    if isinstance(obj, dict):
+        return {key: _reference_round(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_reference_round(item) for item in obj]
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _reference_render(doc, output_format):
+    """The two-pass renderer that render_report replaces: round, then
+    json.dumps, or a recursive walk into csv rows."""
+    doc = _reference_round(doc)
+    if output_format == "json":
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["section", "key", "value"])
+
+    def emit(section, payload, prefix=""):
+        if isinstance(payload, dict):
+            for key, value in payload.items():
+                emit(section, value, f"{prefix}{key}.")
+        elif isinstance(payload, list):
+            for idx, value in enumerate(payload):
+                emit(section, value, f"{prefix}{idx}.")
+        else:
+            writer.writerow([section, prefix.rstrip("."), "" if payload is None else payload])
+
+    for section, payload in doc.items():
+        emit(section, payload)
+    return out.getvalue()
+
+
+def _outcome(render, doc, output_format):
+    """The rendered text, or the type of the error rendering raised."""
+    try:
+        return render(doc, output_format)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+_REFERENCE_DOC = {
+    "empty": {"dict": {}, "list": [], "nested": [{}, [], [[]]]},
+    "tuple": (1, (2.5, "x"), ()),
+    "none_and_bools": {"none": None, "flags": [True, False, None, {"deep": [None, True]}]},
+    "ints": [0, -7, 2**70, True],
+    "floats": [0.0, -0.0, 1 / 3, np.float64(2 / 3), np.float64(1e-300), 123456789.0,
+               1234567891.0, 1e-7, 1e22, -2.5e-310, 1.7976931348623157e308],
+    "non_finite": [math.nan, math.inf, -math.inf, np.float64("nan"), {"x": -math.inf}],
+    "strings": ["", "plain", "Ünïcödé €", 'quote " and \\ back', "tab\tnew\nline\r",
+                "\x00\x1f", "emoji \U0001f600", "comma, in csv"],
+    "keys": {"a.": 1.0, "": 2.0, "x.y": {"z..": 3.0}, "€": 4.0, 'q"': 5.0},
+    "top_float": 0.1 + 0.2,
+    "top_none": None,
+}
+
+
+class TestRendererReference:
+    @pytest.mark.parametrize("output_format", ["json", "csv"])
+    def test_edge_cases_match_reference(self, output_format):
+        expected = _reference_render(_REFERENCE_DOC, output_format)
+        assert render_report(_REFERENCE_DOC, output_format) == expected
+
+    @pytest.mark.parametrize("output_format", ["json", "csv"])
+    def test_full_report_matches_reference(self, output_format):
+        doc = TestReportRendering()._full_report()
+        assert render_report(doc, output_format) == _reference_render(doc, output_format)
+
+    @pytest.mark.parametrize("output_format", ["json", "csv"])
+    @pytest.mark.parametrize("bad", [{1, 2}, np.int64(3), np.bool_(True), np.float32(1.5)])
+    def test_unserializable_leaf_raises_type_error(self, output_format, bad):
+        doc = {"section": {"ok": 1.0, "bad": [bad]}}
+        with pytest.raises(TypeError):
+            _reference_render(doc, output_format)
+        with pytest.raises(TypeError):
+            render_report(doc, output_format)
+
+    def test_json_keys_that_are_not_strings(self):
+        doc = {"s": {1: 1.0, False: 2, None: 3, 2.5: [], np.float64(0.1): {}}}
+        assert render_report(doc, "json") == _reference_render(doc, "json")
+        for bad_key, error in (((1, 2), TypeError), (math.inf, ValueError)):
+            assert _outcome(render_report, {"s": {bad_key: 1}}, "json") is error
+            assert _outcome(_reference_render, {"s": {bad_key: 1}}, "json") is error
+
+    @_PROPERTY_SETTINGS
+    @given(
+        doc=st.dictionaries(
+            st.text(max_size=4),
+            st.recursive(
+                st.none()
+                | st.booleans()
+                | st.integers()
+                | st.floats()
+                | st.floats().map(np.float64)
+                | st.text(max_size=6),
+                lambda children: st.lists(children, max_size=4)
+                | st.lists(children, max_size=3).map(tuple)
+                | st.dictionaries(st.text(max_size=4), children, max_size=4),
+                max_leaves=20,
+            ),
+            max_size=5,
+        ),
+        output_format=st.sampled_from(["json", "csv"]),
+    )
+    def test_random_documents_match_reference(self, doc, output_format):
+        assert render_report(doc, output_format) == _reference_render(doc, output_format)

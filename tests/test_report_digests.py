@@ -1,4 +1,4 @@
-"""The parity-digest tool: two lines, the same on every run of one checkout."""
+"""The parity-digest tool: three lines, the same on every run of one checkout."""
 
 import importlib.util
 import re
@@ -34,3 +34,13 @@ def test_montecarlo_line_repeats_and_sees_each_run():
     assert re.fullmatch(r"montecarlo raw: 2 runs, sha256:[0-9a-f]{64}", first)
     assert tool.montecarlo_digest(runs[:1]) != first
     assert tool.montecarlo_digest(((10, 60, 1), runs[1])) != first
+
+
+def test_ingest_line_repeats_and_counts_every_file():
+    tool = load_tool()
+    first = tool.ingest_digest(seeds=[0])
+    assert tool.ingest_digest(seeds=[0]) == first
+    files = re.fullmatch(r"ingest: (\d+) files, sha256:[0-9a-f]{64}", first).group(1)
+    # Per length and schema: three byte layouts and five broken copies.
+    assert int(files) == len(tool.LENGTHS) * 2 * (3 + 5)
+    assert tool.ingest_digest(seeds=[1]) != first

@@ -33,8 +33,19 @@ unrounded ``run_montecarlo`` dicts (every key, value type and
 rendering above keeps 9 digits, so it can miss a last-bit change that
 this line catches. Neither seed count is a multiple of the Monte Carlo's
 block of seeds (29 at 171 months, 12 at 400), so a partial last block is
-covered. Uses only the standard library and NumPy; takes about 5 s on
-2 vCPUs.
+covered.
+
+A third line, ``ingest: <files> files, sha256:<hex>``, covers CSV
+ingestion. Each draw of the grid is written in both input schemas (the
+lei schema's ``m_eur_lei`` is fx * m_eur) and each of those as LF, CRLF
+and BOM+CRLF bytes. For each such file the hash takes the
+``ingest-check`` report rendered as JSON and as CSV and ``float.hex`` of
+every field of every row. Five broken copies of each draw's LF file in
+each schema (a month left out, a month repeated, a bad date, a row with
+one field too many, a ``nan`` value) add their refusal messages. No
+file holds a blank line. ``<files>`` counts every file ingested.
+
+Uses only the standard library and NumPy; takes about 15 s on 2 vCPUs.
 """
 
 from __future__ import annotations
@@ -145,6 +156,80 @@ def report_digest(seeds=SEEDS) -> str:
     return f"{reports} reports, {refused} refused, sha256:{sha.hexdigest()}"
 
 
+# Leading bytes and line ending of each copy of an ingest file.
+LAYOUTS = ((b"", "\n"), (b"", "\r\n"), (b"\xef\xbb\xbf", "\r\n"))
+
+
+def _lei_csv_text(rows) -> str:
+    """Rows in the lei schema: the euro stock converted at the row's fx."""
+    lines = [",".join(pipeline.SCHEMA_EUR_LEI)]
+    for row in rows:
+        values = (row.m_dom, row.fx * row.m_eur, row.i_dom, row.i_eur)
+        lines.append(",".join([str(row.date), *(format(v, ".12g") for v in values)]))
+    return "\n".join(lines) + "\n"
+
+
+def _broken_copies(text: str) -> list[str]:
+    """Copies of an LF file that ingest must refuse, each broken at its
+    middle data row: a gap, a duplicate month, a bad date, an extra field
+    and a nan in the last column."""
+    lines = text.splitlines()
+    k = len(lines) // 2
+    rest = lines[k].split(",", 1)[1]
+    edits = (
+        lines[:k] + lines[k + 1 :],
+        lines + [lines[k]],
+        lines[:k] + ["2001-13," + rest] + lines[k + 1 :],
+        lines[:k] + [lines[k] + ",1"] + lines[k + 1 :],
+        lines[:k] + [lines[k].rsplit(",", 1)[0] + ",nan"] + lines[k + 1 :],
+    )
+    return ["\n".join(edit) + "\n" for edit in edits]
+
+
+def _ingest_file(path: str, raw: bytes) -> list[bytes]:
+    """Ingest ``raw`` from ``path``: its two reports and row floats, or
+    its refusal."""
+    with open(path, "wb") as handle:
+        handle.write(raw)
+    try:
+        ingested = pipeline.ingest(path)
+    except CurrsubError as exc:
+        return [f"refused: {type(exc).__name__}: {exc}\n".encode()]
+    chunks = []
+    for output_format in ("json", "csv"):
+        config = pipeline.PipelineConfig(output_format=output_format)
+        doc = pipeline.build_report(config, ingested)
+        chunks.append(pipeline.render_report(doc, output_format).encode())
+    for row in ingested.rows:
+        fields = [getattr(row, name) for name in pipeline.SCHEMA_EUR_FX[1:]]
+        chunks.append(f"{row.date} ".encode() + _hex_line(fields))
+    return chunks
+
+
+def ingest_digest(seeds=SEEDS) -> str:
+    """The ingest line over the grid's draws, for the given seeds."""
+    sha = hashlib.sha256()
+    files = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "draw.csv")
+        for seed in seeds:
+            for n in LENGTHS:
+                rows = pipeline.dataset_rows_from_simulation(
+                    simulate_dgp(TRUTH, n, NOISE, seed)
+                )
+                for text in (pipeline.dataset_csv_text(rows), _lei_csv_text(rows)):
+                    copies = [
+                        bom + text.replace("\n", newline).encode()
+                        for bom, newline in LAYOUTS
+                    ]
+                    copies += [broken.encode() for broken in _broken_copies(text)]
+                    for raw in copies:
+                        files += 1
+                        for chunk in _ingest_file(path, raw):
+                            sha.update(chunk)
+    return f"ingest: {files} files, sha256:{sha.hexdigest()}"
+
+
 def _raw_lines(obj, path: str = ""):
     """One ``path type value`` line per leaf, floats as float.hex."""
     if isinstance(obj, dict):
@@ -171,3 +256,4 @@ def montecarlo_digest(runs=MONTECARLO_RUNS) -> str:
 if __name__ == "__main__":
     print(report_digest())
     print(montecarlo_digest())
+    print(ingest_digest())
