@@ -57,9 +57,8 @@ class OlsFit:
 
     @property
     def sigma2(self) -> float | np.ndarray:
-        """Residual variance with degrees-of-freedom correction."""
-        if self.df_resid <= 0:
-            raise DataError("no residual degrees of freedom")
+        """Residual variance with degrees-of-freedom correction
+        (:func:`solve_ols` refuses a fit without residual degrees of freedom)."""
         return self.ssr / self.df_resid
 
     def standard_errors(self) -> np.ndarray:

@@ -10,9 +10,8 @@ computed from the fully modified scores; its null is stable
 cointegration, so small values are good news for the model.
 
 :func:`fmols_stack` fits every row of a stack of series at once: both
-least-squares stages, the Bartlett sums and the checks run on the whole
-stack, and only the Lc statistic is summed row by row, because a batched
-``einsum`` rounds differently. Each row gets the bits :func:`fmols`
+least-squares stages, the Bartlett sums, the checks and the Lc
+statistic run on the whole stack. Each row gets the bits :func:`fmols`
 gives it alone, which is its one-series case, under the contiguity rule
 of :mod:`currsub._ols` (the stack is made C-contiguous on entry). A row
 that refuses refuses the stack with its own error.
@@ -141,12 +140,43 @@ class HansenLcResult:
     p_value_range: tuple[float, float]
     stable_at_10pct: bool
 
-    def __post_init__(self) -> None:
-        if not self.statistic >= 0.0:
-            raise ParameterError(f"Lc must be >= 0, got {self.statistic}")
-        lo, hi = self.p_value_range
-        if not 0.0 <= lo <= hi <= 1.0:
-            raise ParameterError(f"invalid p-value range {self.p_value_range}")
+
+def _lc_results(
+    scores: np.ndarray,
+    moment: np.ndarray,
+    omega112: float | np.ndarray,
+    skip: bool | np.ndarray,
+    deterministics: str,
+) -> tuple[HansenLcResult | None, ...]:
+    """Hansen's Lc of each fit of a stack, None where ``skip`` is set.
+
+    ``scores`` are (..., m, k), ``moment`` (..., k, k) and ``omega112``
+    and ``skip`` have the leading shape. The statistic is
+    sum_t S_t' (Z'Z)^(-1) S_t / (m * omega112), S_t the cumulated
+    scores; each row gets the bits of its one-row call. Rows are checked
+    in order, and the first refusal raises.
+    """
+    # Skipped rows and rows refused below may divide by zero or overflow.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        cumulated = np.cumsum(scores, axis=-2)
+        minv = np.linalg.inv(moment)
+        quad = np.einsum("...ti,...ij,...tj->...", cumulated, minv, cumulated)
+        stats = quad / (scores.shape[-2] * omega112)
+    critical = lc_critical_value(deterministics, 0.10)
+    out = []
+    rows = zip(
+        np.reshape(skip, -1).tolist(),
+        np.reshape(stats, -1).tolist(),
+        np.reshape(omega112, -1).tolist(),
+    )
+    for row_skip, stat, w in rows:
+        if row_skip:
+            out.append(None)
+            continue
+        if not w > 0.0:
+            raise DegeneracyError(f"conditional long-run variance must be > 0, got {w}")
+        out.append(HansenLcResult(stat, lc_p_value_range(stat, deterministics), stat < critical))
+    return tuple(out)
 
 
 def hansen_lc(
@@ -162,7 +192,8 @@ def hansen_lc(
     the regressor moment matrix Z'Z over the same rows, and ``omega112``
     the conditional long-run error variance. The statistic is the
     normalized trace of cumulated scores,
-    sum_t S_t' (Z'Z)^(-1) S_t / (n * omega112).
+    sum_t S_t' (Z'Z)^(-1) S_t / (n * omega112); :func:`fmols_stack`
+    computes it for every row of a stack the same way.
     """
     _check_config(deterministics)
     scores = np.asarray(scores, dtype=float)
@@ -177,19 +208,7 @@ def hansen_lc(
             f"need a fit on at least 30 observations to accumulate scores, "
             f"got {nobs} score rows"
         )
-    if not omega112 > 0.0:
-        raise DegeneracyError(
-            f"conditional long-run variance must be > 0, got {omega112}"
-        )
-    cumulated = np.cumsum(scores, axis=0)
-    minv = np.linalg.inv(moment)
-    stat = float(np.einsum("ti,ij,tj->", cumulated, minv, cumulated))
-    stat = float(stat / (nobs * omega112))
-    return HansenLcResult(
-        statistic=stat,
-        p_value_range=lc_p_value_range(stat, deterministics),
-        stable_at_10pct=bool(stat < lc_critical_value(deterministics, 0.10)),
-    )
+    return _lc_results(scores, moment, omega112, False, deterministics)[0]
 
 
 @dataclass(frozen=True)
@@ -201,7 +220,8 @@ class FmolsReport:
     companion dicts carry standard errors and t-ratios. When the
     conditional long-run variance is numerically zero (an exact fit) the
     report is flagged degenerate: standard errors are zero, t-ratios NaN
-    and the Lc fields None.
+    and the Lc fields None. It is plain data: :func:`fmols` builds it
+    from the fit that :func:`fmols_stack` checked.
     """
 
     deterministics: str
@@ -216,46 +236,12 @@ class FmolsReport:
     lc_p_value_range: tuple[float, float] | None
     lc_stable_at_10pct: bool | None
 
-    def __post_init__(self) -> None:
-        _check_config(self.deterministics)
-        names = _param_names(self.deterministics)
-        for mapping in (self.params, self.standard_errors, self.t_statistics):
-            if tuple(mapping) != names:
-                raise ParameterError(
-                    f"coefficient names must be {names}, got {tuple(mapping)}"
-                )
-        if not 0.0 <= self.r_squared <= 1.0:
-            raise ParameterError(f"r_squared outside [0, 1]: {self.r_squared}")
-        if self.n_obs < 30:
-            raise ParameterError(f"n_obs must be >= 30, got {self.n_obs}")
-        for name in names:
-            se = self.standard_errors[name]
-            if se > 0.0:
-                implied = self.params[name] / se
-                if not math.isclose(
-                    self.t_statistics[name], implied, rel_tol=1e-10, abs_tol=1e-12
-                ):
-                    raise ParameterError(f"t-statistic inconsistent for {name}")
-
-    @property
-    def v0(self) -> float:
-        return self.params["v0"]
-
-    @property
-    def v1(self) -> float:
-        return self.params.get("v1", 0.0)
-
-    @property
-    def v2(self) -> float:
-        return self.params.get("v2", 0.0)
-
-    @property
-    def sigma(self) -> float:
-        return self.params["sigma"]
-
     def trend_coefficients(self) -> TrendCoefficients:
         """The estimates as validated trend coefficients (needs sigma > 0)."""
-        return TrendCoefficients(v0=self.v0, v1=self.v1, v2=self.v2, sigma=self.sigma)
+        p = self.params
+        return TrendCoefficients(
+            v0=p["v0"], v1=p.get("v1", 0.0), v2=p.get("v2", 0.0), sigma=p["sigma"]
+        )
 
 
 @dataclass(frozen=True)
@@ -295,9 +281,9 @@ def fmols_stack(
     series, y and x of shape (n,).
 
     Every row is computed as it would be alone: batched factorizations,
-    solves and products run per row (see :mod:`currsub._ols`), and the
-    Lc statistic is summed row by row. A refusal of any row refuses the
-    stack, with that row's error.
+    solves and products run per row (see :mod:`currsub._ols`), the Lc
+    statistic included. A refusal of any row refuses the stack, with
+    that row's error.
     """
     _check_config(deterministics)
     y = np.ascontiguousarray(y, dtype=float)
@@ -314,7 +300,7 @@ def fmols_stack(
 
     # Data large enough to overflow this arithmetic are refused: by
     # scaled_qr's collinearity gate, the first-stage residual check,
-    # long_run_cov's finiteness check, hansen_lc, which refuses the NaN
+    # long_run_cov's finiteness check, the Lc stage, which refuses the NaN
     # omega112 they leave, or the R^2 check of the sums of squares.
     # NumPy's warnings would only precede the refusal.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -371,27 +357,14 @@ def fmols_stack(
     u_plus = y_plus - matvec(zt, theta_t)
     scores = zt * u_plus[..., None] - bias_t[..., None, :]
     moment = zt.swapaxes(-1, -2) @ zt
-    rows = zip(
-        degenerate.reshape(-1).tolist(),
-        scores.reshape(-1, n - 1, k),
-        moment.reshape(-1, k, k),
-        omega112.reshape(-1).tolist(),
-    )
-    lc = tuple(
-        None if row_degenerate else hansen_lc(row_scores, row_moment, w, deterministics)
-        for row_degenerate, row_scores, row_moment, w in rows
-    )
+    lc = _lc_results(scores, moment, omega112, degenerate, deterministics)
 
     if not (np.isfinite(ssrs).all() and np.isfinite(tsss).all()):
         raise DegeneracyError("R^2 undefined: a sum of squares is not finite")
-    r_squared = tuple(_r_squared(a, b) for a, b in zip(ssrs.tolist(), tsss.tolist()))
-    for value in r_squared:
-        if not 0.0 <= value <= 1.0:  # FmolsReport's check, for rows never reported
-            raise ParameterError(f"r_squared outside [0, 1]: {value}")
     return FmolsStack(
         theta=theta,
         standard_errors=se,
-        r_squared=r_squared,
+        r_squared=tuple(_r_squared(a, b) for a, b in zip(ssrs.tolist(), tsss.tolist())),
         lrc=lrc,
         degenerate_inference=tuple(degenerate.reshape(-1).tolist()),
         lc=lc,

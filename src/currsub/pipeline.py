@@ -199,17 +199,29 @@ _PARSE_ORDER = {
 }
 
 
+def _csv_records(text: str):
+    """(physical line, fields) of each CSV record; a malformed one is refused."""
+    # newline=None reads a lone CR as a line end, and line_num stays physical.
+    reader = csv.reader(io.StringIO(text, newline=None))
+    try:
+        for values in reader:
+            yield reader.line_num, values
+    except csv.Error as exc:
+        raise IngestionError(f"line {reader.line_num}: {exc}") from None
+
+
 def ingest_rows(text: str) -> tuple[tuple[DatasetRow, ...], str]:
     """Parse and validate CSV text; returns (rows, schema name).
 
     The header must be exactly one of the two documented schemas (any
     column order): euro stock with an exchange rate, or the euro stock
     already converted to lei (then fx is fixed at 1). Blank lines are
-    skipped, and a refused row is named by its physical line. Rows are
-    sorted by date and must form one contiguous monthly span.
+    skipped, and a refused row is named by its physical line. Lines may
+    end in LF, CRLF or CR alone. Rows are sorted by date and must form
+    one contiguous monthly span.
     """
-    reader = csv.reader(io.StringIO(text))
-    names = next(reader, None)
+    records = _csv_records(text)
+    _, names = next(records, (0, None))
     if names is None:
         raise IngestionError("empty input: no header row")
     header = tuple(name.strip() for name in names)
@@ -229,16 +241,16 @@ def ingest_rows(text: str) -> tuple[tuple[DatasetRow, ...], str]:
     value_columns = [(name, column[name]) for name in _PARSE_ORDER[schema]]
 
     months = []  # (month index, row) pairs
-    for values in reader:
+    for line, values in records:
         if not values:
             continue
         if len(values) != len(header):
-            raise IngestionError(f"line {reader.line_num}: wrong number of fields")
+            raise IngestionError(f"line {line}: wrong number of fields")
         raw_date = values[date_column].strip()
         try:
             date = MonthStamp.parse(raw_date)
         except DataError as exc:
-            raise IngestionError(f"line {reader.line_num}: {exc}") from None
+            raise IngestionError(f"line {line}: {exc}") from None
         parsed = [_parse_float(raw_date, name, values[k]) for name, k in value_columns]
         if schema == "m_eur_fx":
             m_eur, fx, m_dom, i_dom, i_eur = parsed
@@ -357,11 +369,12 @@ def run_estimation(derived: DerivedSeries, config: PipelineConfig) -> Estimation
         trend_origin=origin,
     )
     corr = pearson_correlation(y, x)
-    if not report.sigma > 0.0:
+    sigma = report.params["sigma"]
+    if not sigma > 0.0:
         # The share-path inversion divides by sigma; a nonpositive fit
         # means the sample carries no usable substitution signal.
         raise DegeneracyError(
-            f"fitted sigma {report.sigma:.6g} is not positive; "
+            f"fitted sigma {sigma:.6g} is not positive; "
             "share path undefined"
         )
     coeffs = report.trend_coefficients()

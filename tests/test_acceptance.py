@@ -223,7 +223,7 @@ def test_criterion_7_equivariance(capfd):
 
         k = int(rng.integers(1, 61))
         shifted = fmols(y, x, trend_origin=y.start.shift(-k))
-        worst = max(worst, gap(shifted.sigma, base.sigma))
+        worst = max(worst, gap(shifted.params["sigma"], base.params["sigma"]))
         worst = max(worst, gap(shifted.r_squared, base.r_squared))
         worst = max(worst, gap(shifted.lc_statistic, base.lc_statistic))
 

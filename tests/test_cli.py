@@ -153,6 +153,20 @@ class TestIngestCheck:
         assert err.startswith("error:") and "repeated" in err
         assert len(err.splitlines()) == 1
 
+    def test_oversized_field_exits_2(self, tmp_path, capsys):
+        # The blank line counts: the error names the physical line, 4.
+        path = tmp_path / "oversized.csv"
+        path.write_text(
+            DATASET_HEADER + "\n"
+            "2001-09,100,50,2.5,30,4\n"
+            "\n"
+            "2001-10,100," + "5" * 131_073 + ",2.5,30,4\n"
+        )
+        assert main(["ingest-check", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: line 4: field larger than field limit (131072)\n"
+        )
+
 
 class TestUnitRoot:
     def test_grid_of_eight_runs(self, dataset, capsys):

@@ -159,6 +159,9 @@ class TestFmolsExactFit:
         assert [lc is None for lc in fit.lc] == [False, False, True, False]
         assert (fit.standard_errors[2] == 0.0).all()
         assert (fit.standard_errors[[0, 1, 3]] > 0.0).all()
+        for i in (0, 1, 3):
+            lone = coint.fmols(series(y[i]), series(x[i]))
+            assert fit.lc[i].statistic.hex() == lone.lc_statistic.hex()
 
 
 class TestFmolsAgainstFirstStage:
@@ -320,11 +323,16 @@ class TestFmolsReportType:
         return coint.fmols(sim.log_money_ratio, sim.oc_spread_log)
 
     def test_t_ratio_consistency(self):
-        rep = self._report()
-        for name, t in rep.t_statistics.items():
-            assert t == pytest.approx(
-                rep.params[name] / rep.standard_errors[name], rel=1e-12
-            )
+        sim = simulate_dgp(TABLE_COEFFS, 171, NOISE, 30)
+        for config in coint.DETERMINISTIC_CONFIGS:
+            rep = coint.fmols(sim.log_money_ratio, sim.oc_spread_log, config)
+            names = coint._param_names(config)
+            for mapping in (rep.params, rep.standard_errors, rep.t_statistics):
+                assert tuple(mapping) == names
+            for name in names:
+                se = rep.standard_errors[name]
+                assert se > 0.0
+                assert rep.t_statistics[name] == rep.params[name] / se
 
     def test_trend_coefficients_round_trip(self):
         rep = self._report()
@@ -337,22 +345,3 @@ class TestFmolsReportType:
         assert type(rep.lc_statistic) is float
         assert type(rep.lc_stable_at_10pct) is bool
         assert all(type(v) is float for v in rep.params.values())
-
-    def test_mismatched_names_rejected(self):
-        rep = self._report()
-        bad = dict(rep.params)
-        bad["extra"] = 1.0
-        with pytest.raises(ParameterError):
-            coint.FmolsReport(
-                deterministics=rep.deterministics,
-                params=bad,
-                standard_errors=rep.standard_errors,
-                t_statistics=rep.t_statistics,
-                r_squared=rep.r_squared,
-                lrc=rep.lrc,
-                n_obs=rep.n_obs,
-                degenerate_inference=rep.degenerate_inference,
-                lc_statistic=rep.lc_statistic,
-                lc_p_value_range=rep.lc_p_value_range,
-                lc_stable_at_10pct=rep.lc_stable_at_10pct,
-            )

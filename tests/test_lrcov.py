@@ -7,7 +7,6 @@ import pytest
 
 from currsub.errors import DataError, ParameterError
 from currsub.lrcov import (
-    LongRunCovariance,
     bartlett_long_run_variance,
     long_run_cov,
     newey_west_bandwidth,
@@ -134,17 +133,6 @@ class TestLongRunCovarianceType:
         lrc = long_run_cov(rng.standard_normal(50), rng.standard_normal(50))
         with pytest.raises(ValueError):
             lrc.omega[0, 0] = 99.0
-
-    def test_asymmetric_omega_rejected(self):
-        eye = np.eye(2)
-        bad = np.array([[1.0, 0.5], [0.0, 1.0]])
-        with pytest.raises(ParameterError, match="symmetric"):
-            LongRunCovariance(omega=bad, lam=eye, gamma0=eye, bandwidth=0)
-
-    def test_identity_violation_rejected(self):
-        eye = np.eye(2)
-        with pytest.raises(ParameterError, match="lam"):
-            LongRunCovariance(omega=eye, lam=2.0 * eye, gamma0=eye, bandwidth=0)
 
 
 class TestBartlettLongRunVariance:

@@ -185,6 +185,7 @@ class TestIngest:
             "plain": plain,
             "bom": b"\xef\xbb\xbf" + plain,
             "crlf": plain.replace(b"\n", b"\r\n"),
+            "cr": plain.replace(b"\n", b"\r"),
         }
         rows, bodies, digests = {}, {}, set()
         for name, raw in copies.items():
@@ -203,9 +204,9 @@ class TestIngest:
             del doc["input_digest"]
             rows[name] = ingested.rows
             bodies[name] = render_report(doc, "json")
-        assert len(digests) == 3
-        assert rows["bom"] == rows["plain"] == rows["crlf"]
-        assert bodies["bom"] == bodies["plain"] == bodies["crlf"]
+        assert len(digests) == 4
+        assert rows["bom"] == rows["plain"] == rows["crlf"] == rows["cr"]
+        assert bodies["bom"] == bodies["plain"] == bodies["crlf"] == bodies["cr"]
 
 
 def _csv(columns, records, newline="\n", pad=""):
@@ -376,13 +377,22 @@ class TestDeriveSeries:
 
 class TestRunUnitRoots:
     def test_grid_shape(self):
-        sim = simulate_dgp(TABLE_COEFFS, 171, NOISE, 0)
-        runs = run_unit_roots(derived_from_sim(sim), CONFIG)
-        assert len(runs) == 8
-        names = [(r.series, r.report.test, r.report.spec) for r in runs]
-        assert len(set(names)) == 8
-        assert {r.series for r in runs} == {"log_money_ratio", "oc_spread_log"}
-        assert {r.report.test for r in runs} == {"ADF", "PP"}
+        for seed in range(4):
+            sim = simulate_dgp(TABLE_COEFFS, 171, NOISE, seed)
+            runs = run_unit_roots(derived_from_sim(sim), CONFIG)
+            assert len(runs) == 8
+            names = [(r.series, r.report.test, r.report.spec) for r in runs]
+            assert len(set(names)) == 8
+            assert {r.series for r in runs} == {"log_money_ratio", "oc_spread_log"}
+            assert {r.report.test for r in runs} == {"ADF", "PP"}
+            for run in runs:
+                rep = run.report
+                cvs = [rep.critical_values[level] for level in ("1%", "5%", "10%")]
+                assert cvs[0] < cvs[1] < cvs[2]
+                assert 0.0 <= rep.approx_p_value <= 1.0
+                assert rep.reject_at == {
+                    level: rep.statistic < cv for level, cv in rep.critical_values.items()
+                }
 
     def test_random_walk_dataset_fails_to_reject_everywhere(self):
         rng = np.random.default_rng(0)

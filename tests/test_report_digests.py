@@ -1,4 +1,4 @@
-"""The parity-digest tool: three lines, the same on every run of one checkout."""
+"""The parity-digest tool: four lines, the same on every run of one checkout."""
 
 import importlib.util
 import re
@@ -44,3 +44,15 @@ def test_ingest_line_repeats_and_counts_every_file():
     # Per length and schema: three byte layouts and five broken copies.
     assert int(files) == len(tool.LENGTHS) * 2 * (3 + 5)
     assert tool.ingest_digest(seeds=[1]) != first
+
+
+def test_fmols_stack_line_repeats_and_sees_each_run():
+    tool = load_tool()
+    runs = ((3, 60, 0), (4, 60, 3))
+    first = tool.fmols_stack_digest(runs)
+    assert tool.fmols_stack_digest(runs) == first
+    stacks = re.fullmatch(r"fmols stack: (\d+) stacks, sha256:[0-9a-f]{64}", first).group(1)
+    # Per run: three deterministic configurations x three bandwidths.
+    assert int(stacks) == len(runs) * 3 * len(tool.FMOLS_BANDWIDTHS)
+    assert tool.fmols_stack_digest(runs[:1]) != first
+    assert tool.fmols_stack_digest(((3, 60, 1), runs[1])) != first

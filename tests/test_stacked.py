@@ -119,6 +119,16 @@ class TestStackRefusals:
         expected = refusal(lambda: coint.fmols(series(y[4]), series(x[4])))
         assert expected == (DegeneracyError, "a regressor column is identically zero")
         assert refusal(lambda: coint.fmols_stack(y, x)) == expected
+        # Noise scaled to 1e154 overflows the long-run variances, which
+        # leaves omega112 NaN: the row refuses at the Lc stage.
+        y, x = fmols_rows(60)
+        y[3] = 1e154 * np.random.default_rng(3).standard_normal(60)
+        for config in coint.DETERMINISTIC_CONFIGS:
+            expected = refusal(lambda: coint.fmols(series(y[3]), series(x[3]), config))
+            assert expected == (
+                DegeneracyError, "conditional long-run variance must be > 0, got nan"
+            )
+            assert refusal(lambda: coint.fmols_stack(y, x, config)) == expected
 
     def test_adf_row_refusal_is_its_own(self):
         rows = adf_rows(171)

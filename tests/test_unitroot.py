@@ -394,28 +394,3 @@ class TestUnitRootReport:
     def test_valid_report(self):
         rep = UnitRootReport(**self._kwargs())
         assert rep.reject_at["5%"]
-
-    def test_inconsistent_rejection_flag_rejected(self):
-        kwargs = self._kwargs()
-        kwargs["reject_at"] = {"1%": True, "5%": True, "10%": True}
-        with pytest.raises(ParameterError, match="inconsistent"):
-            UnitRootReport(**kwargs)
-
-    def test_disordered_critical_values_rejected(self):
-        kwargs = self._kwargs()
-        kwargs["critical_values"] = {"1%": -2.57, "5%": -2.88, "10%": -3.46}
-        kwargs["reject_at"] = {"1%": True, "5%": True, "10%": False}
-        with pytest.raises(ParameterError, match="increase"):
-            UnitRootReport(**kwargs)
-
-    def test_bad_p_value_rejected(self):
-        kwargs = self._kwargs()
-        kwargs["approx_p_value"] = 1.5
-        with pytest.raises(ParameterError, match="p-value"):
-            UnitRootReport(**kwargs)
-
-    def test_unknown_test_rejected(self):
-        kwargs = self._kwargs()
-        kwargs["test"] = "KPSS"
-        with pytest.raises(ParameterError):
-            UnitRootReport(**kwargs)
