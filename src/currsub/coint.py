@@ -141,6 +141,16 @@ class HansenLcResult:
     stable_at_10pct: bool
 
 
+def _cumulated_quad(scores: np.ndarray, moment: np.ndarray) -> np.ndarray:
+    """sum_t S_t' M^-1 S_t of each fit, S_t the running sums of time-last
+    ``scores`` (..., k, n), which they overwrite, and M the (..., k, k) or
+    (k, k) ``moment``: sum_ij (M^-1)_ij G_ij with the Gram matrix
+    G = sum_t S_t S_t', one batched k x k product, not n quadratic forms.
+    """
+    np.cumsum(scores, axis=-1, out=scores)
+    return (np.linalg.inv(moment) * (scores @ scores.swapaxes(-1, -2))).sum(axis=(-2, -1))
+
+
 def _lc_results(
     scores: np.ndarray,
     moment: np.ndarray,
@@ -150,18 +160,20 @@ def _lc_results(
 ) -> tuple[HansenLcResult | None, ...]:
     """Hansen's Lc of each fit of a stack, None where ``skip`` is set.
 
-    ``scores`` are (..., m, k), ``moment`` (..., k, k) and ``omega112``
-    and ``skip`` have the leading shape. The statistic is
-    sum_t S_t' (Z'Z)^(-1) S_t / (m * omega112), S_t the cumulated
-    scores; each row gets the bits of its one-row call. Rows are checked
-    in order, and the first refusal raises.
+    ``scores`` are time-last, (..., k, m), and are overwritten; ``moment``
+    is (..., k, k), and ``omega112`` and ``skip`` have the leading shape.
+    The statistic is sum_t S_t' (Z'Z)^(-1) S_t / (m * omega112), S_t the
+    cumulated scores, each row with the bits of its one-row call. The
+    scores are divided by sqrt(omega112), then by sqrt(m), before
+    :func:`_cumulated_quad` sums them: near the floating-point range the
+    Gram matrix of unscaled scores overflows, and so can m * omega112.
+    Rows are checked in order, and the first refusal raises.
     """
     # Skipped rows and rows refused below may divide by zero or overflow.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        cumulated = np.cumsum(scores, axis=-2)
-        minv = np.linalg.inv(moment)
-        quad = np.einsum("...ti,...ij,...tj->...", cumulated, minv, cumulated)
-        stats = quad / (scores.shape[-2] * omega112)
+        scores /= np.sqrt(omega112)[..., None, None]
+        scores /= math.sqrt(scores.shape[-1])
+        stats = _cumulated_quad(scores, moment)
     critical = lc_critical_value(deterministics, 0.10)
     out = []
     rows = zip(
@@ -208,7 +220,8 @@ def hansen_lc(
             f"need a fit on at least 30 observations to accumulate scores, "
             f"got {nobs} score rows"
         )
-    return _lc_results(scores, moment, omega112, False, deterministics)[0]
+    # A time-last copy, as _lc_results overwrites its scores.
+    return _lc_results(np.array(scores.T, order="C"), moment, omega112, False, deterministics)[0]
 
 
 @dataclass(frozen=True)
@@ -355,7 +368,10 @@ def fmols_stack(
     se = np.sqrt(omega112[..., None] * xtx_inv_t.diagonal(0, -2, -1)) / scale
     se = np.where(degenerate[..., None], 0.0, se)
     u_plus = y_plus - matvec(zt, theta_t)
-    scores = zt * u_plus[..., None] - bias_t[..., None, :]
+    # The scores z_t u_t - bias, laid out time-last and C-ordered.
+    scores = np.empty((*y.shape[:-1], k, n - 1))
+    np.multiply(zt.swapaxes(-1, -2), u_plus[..., None, :], out=scores)
+    scores -= bias_t[..., None]
     moment = zt.swapaxes(-1, -2) @ zt
     lc = _lc_results(scores, moment, omega112, degenerate, deterministics)
 

@@ -80,13 +80,9 @@ class LongRunCovariance:
         object.__setattr__(self, "gamma0", gamma0)
 
 
-def _bartlett_sum(e: np.ndarray, bandwidth: int, lag_factor: float):
-    """gamma0 and gamma0 + lag_factor * sum_j w_j Gamma_j, for an n x k
-    matrix or a stack (..., n, k) of matrices e.
-
-    Factor 1 gives the one-sided sum; factor 2 the two-sided sum of a
-    single column, whose lag j and lag -j autocovariances coincide.
-    """
+def _bartlett_sum(e: np.ndarray, bandwidth: int):
+    """gamma0 and the one-sided sum lam = gamma0 + sum_j w_j Gamma_j, for
+    an n x k matrix or a stack (..., n, k) of matrices e."""
     bandwidth = int(bandwidth)
     if bandwidth < 0:
         raise ParameterError(f"bandwidth must be >= 0, got {bandwidth}")
@@ -96,11 +92,17 @@ def _bartlett_sum(e: np.ndarray, bandwidth: int, lag_factor: float):
         return e[..., j:, :].swapaxes(-1, -2) @ e[..., : n - j, :]
 
     gamma0 = cross(0) / n
-    total = gamma0
+    lam = gamma0
     for j in range(1, min(bandwidth, n - 1) + 1):
         w = 1.0 - j / (bandwidth + 1.0)
-        total = total + lag_factor * w * cross(j) / n
-    return gamma0, total
+        lam = lam + w * cross(j) / n
+    return gamma0, lam
+
+
+def _two_sided(gamma0: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """The symmetric two-sided sum lam + lam' - gamma0."""
+    omega = lam + lam.swapaxes(-1, -2) - gamma0
+    return (omega + omega.swapaxes(-1, -2)) / 2.0
 
 
 def long_run_cov(u, v, bandwidth: int | None = None) -> LongRunCovariance:
@@ -123,9 +125,8 @@ def long_run_cov(u, v, bandwidth: int | None = None) -> LongRunCovariance:
         bandwidth = newey_west_bandwidth(n)
     bandwidth = int(bandwidth)
     e = np.stack([u, v], axis=-1)
-    gamma0, lam = _bartlett_sum(e - e.mean(axis=-2, keepdims=True), bandwidth, 1.0)
-    omega = lam + lam.swapaxes(-1, -2) - gamma0
-    omega = (omega + omega.swapaxes(-1, -2)) / 2.0
+    gamma0, lam = _bartlett_sum(e - e.mean(axis=-2, keepdims=True), bandwidth)
+    omega = _two_sided(gamma0, lam)
     return LongRunCovariance(omega=omega, lam=lam, gamma0=gamma0, bandwidth=bandwidth)
 
 
@@ -134,10 +135,10 @@ def bartlett_long_run_variance(e, bandwidth: int) -> float:
 
     Same weights and normalization as :func:`long_run_cov`, without the
     demeaning: intended for regression residuals that are already
-    orthogonal to an intercept. The sum runs on e as an n x 1 column.
+    orthogonal to an intercept: the two-sided sum of e as an n x 1 column.
     """
     e = _as_values(e).reshape(-1, 1)
     n = e.shape[0]
     if n < 2:
         raise DataError(f"need at least 2 observations, got {n}")
-    return float(_bartlett_sum(e, bandwidth, 2.0)[1][0, 0])
+    return float(_two_sided(*_bartlett_sum(e, bandwidth))[0, 0])

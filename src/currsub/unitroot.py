@@ -181,30 +181,27 @@ def _report(test: str, kind: str, statistic: float, lags_or_bw: int, nobs: int) 
     )
 
 
-def _df_design(
-    y: np.ndarray, kind: str, lag: int, trend_first: bool
-) -> tuple[np.ndarray, np.ndarray]:
+def _df_design(y: np.ndarray, kind: str, lag: int) -> tuple[np.ndarray, np.ndarray]:
     """(lhs, design) of the Dickey-Fuller regression with ``lag``
     augmentation terms, on every difference row that ``lag`` allows, for
     a series or for each row of a stack. The design's columns are
-    [level, trend, lags 1..lag] if ``trend_first``, else [level, lags
-    1..lag, trend]."""
+    [level, trend, lags 1..lag], the order of the lag search and of the
+    refit alike."""
     dy = np.diff(y)
     m = dy.shape[-1]
     trend = polynomial_trend(np.arange(1.0, m - lag + 1.0), _TREND_DEGREE[kind])
     p = trend.shape[1]
     x = np.empty((*y.shape[:-1], m - lag, 1 + p + lag))
     x[..., 0] = y[..., lag:m]
-    first_trend, first_lag = (1, 1 + p) if trend_first else (1 + lag, 1)
-    x[..., first_trend : first_trend + p] = trend
+    x[..., 1 : 1 + p] = trend
     for j in range(1, lag + 1):
-        x[..., first_lag + j - 1] = dy[..., lag - j : m - j]
+        x[..., p + j] = dy[..., lag - j : m - j]
     return np.ascontiguousarray(dy[..., lag:]), x
 
 
 def _df_regression(y: np.ndarray, kind: str, lag: int) -> tuple[np.ndarray, OlsFit]:
     """Dickey-Fuller regression with ``lag`` augmentation terms: (lhs, fit)."""
-    lhs, x = _df_design(y, kind, lag, trend_first=False)
+    lhs, x = _df_design(y, kind, lag)
     return lhs, solve_ols(x, lhs)
 
 
@@ -214,11 +211,11 @@ def _lag_aic(y: np.ndarray, kind: str, max_lags: int) -> np.ndarray:
     or each row of a stack (the last axis indexes the order).
 
     Refuses as the first failing candidate's own fit would, with the same
-    checks in the same order. Only the pivot ratio is read in this column
-    order, so a design whose rounding puts it next to the 1e-12 gate can
-    be decided differently from a fit of that candidate alone.
+    checks in the same order; the candidates' designs have the refit's
+    column order. A search and a refit of the winning order can therefore
+    differ only because the refit uses the longer sample its lag allows.
     """
-    lhs, x = _df_design(y, kind, max_lags, trend_first=True)
+    lhs, x = _df_design(y, kind, max_lags)
     nobs, width = x.shape[-2:]
     base = width - max_lags
     _, scale, q, r = scaled_factor(x)

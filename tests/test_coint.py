@@ -88,6 +88,25 @@ class TestHansenLc:
         )
         assert res.statistic == pytest.approx(kpss, rel=1e-12)
 
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_matches_its_definition(self, k):
+        # Random (n, k) scores against a loop of S_t' M^-1 S_t / (n w).
+        rng = np.random.default_rng(k)
+        n, omega = 120, 0.7
+        scores = rng.standard_normal((n, k))
+        a = rng.standard_normal((k, k))
+        moment = a @ a.T + k * np.eye(k)
+        minv = np.linalg.inv(moment)
+        partial = np.zeros(k)
+        quad = 0.0
+        for t in range(n):
+            partial = partial + scores[t]
+            quad += float(partial @ minv @ partial)
+        kept = scores.copy()
+        res = coint.hansen_lc(scores, moment, omega, coint.CONST)
+        assert res.statistic == pytest.approx(quad / (n * omega), rel=1e-12)
+        assert np.array_equal(scores, kept)  # the caller's scores are not overwritten
+
     def test_decision_flag_matches_table(self):
         rng = np.random.default_rng(1)
         u = rng.standard_normal(100)
@@ -210,23 +229,33 @@ class TestFmolsAgainstFirstStage:
 
 class TestFmolsEquivariance:
     def test_scale_equivariance(self):
-        sim = simulate_dgp(TABLE_COEFFS, 171, NOISE, 11)
-        y, x = sim.log_money_ratio, sim.oc_spread_log
-        base = coint.fmols(y, x)
-        c = 2.5
-        scaled = coint.fmols(y.with_values(c * y.values), x)
-        for name in base.params:
-            assert scaled.params[name] == pytest.approx(
-                c * base.params[name], rel=1e-8, abs=1e-12
-            )
-            assert scaled.standard_errors[name] == pytest.approx(
-                c * base.standard_errors[name], rel=1e-8, abs=1e-12
-            )
-            assert scaled.t_statistics[name] == pytest.approx(
-                base.t_statistics[name], rel=1e-8
-            )
-        assert scaled.r_squared == pytest.approx(base.r_squared, abs=1e-8)
-        assert scaled.lc_statistic == pytest.approx(base.lc_statistic, rel=1e-8)
+        # (seed, n, factor, configurations). At 1e154, y * y nears the
+        # largest double: Lc's Gram matrix overflows unless the scores are
+        # scaled first. Seed 11 at 60 months is left out: its sums of
+        # squares overflow, which correctly refuses the R^2.
+        cases = [
+            (11, 171, 2.5, [coint.QUADRATIC_TREND]),
+            (0, 60, 1e154, coint.DETERMINISTIC_CONFIGS),
+            (2, 60, 1e154, coint.DETERMINISTIC_CONFIGS),
+        ]
+        for seed, n, c, configs in cases:
+            sim = simulate_dgp(TABLE_COEFFS, n, NOISE, seed)
+            y, x = sim.log_money_ratio, sim.oc_spread_log
+            for config in configs:
+                base = coint.fmols(y, x, config)
+                scaled = coint.fmols(y.with_values(c * y.values), x, config)
+                for name in base.params:
+                    assert scaled.params[name] == pytest.approx(
+                        c * base.params[name], rel=1e-8, abs=1e-12
+                    )
+                    assert scaled.standard_errors[name] == pytest.approx(
+                        c * base.standard_errors[name], rel=1e-8, abs=1e-12
+                    )
+                    assert scaled.t_statistics[name] == pytest.approx(
+                        base.t_statistics[name], rel=1e-8
+                    )
+                assert scaled.r_squared == pytest.approx(base.r_squared, abs=1e-8)
+                assert scaled.lc_statistic == pytest.approx(base.lc_statistic, rel=1e-8)
 
     def test_origin_shift_re_expands_polynomial(self):
         sim = simulate_dgp(TABLE_COEFFS, 171, NOISE, 12)

@@ -19,21 +19,29 @@ CONFIGS = {
 }
 
 
-@pytest.fixture(scope="module")
-def tool():
+def load_tool():
     spec = importlib.util.spec_from_file_location("simulate_lc_critical_values", TOOL_PATH)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
+@pytest.fixture(scope="module")
+def tool():
+    return load_tool()
+
+
 def test_package_check_passes(tool):
     assert tool.run_package_check(20260815) is True
 
 
-def test_package_check_fails_without_package(tool, monkeypatch):
-    monkeypatch.setitem(sys.modules, "currsub", None)
-    assert tool.run_package_check(20260815) is False
+def test_package_check_fails_without_package(monkeypatch):
+    # The tool sums Lc with the package's kernel: without currsub it
+    # cannot even load, so no check can pass.
+    for name in [m for m in sys.modules if m.split(".")[0] == "currsub"]:
+        monkeypatch.setitem(sys.modules, name, None)
+    with pytest.raises(ImportError):
+        load_tool()
 
 
 @pytest.mark.parametrize("config", sorted(CONFIGS))

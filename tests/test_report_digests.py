@@ -1,4 +1,4 @@
-"""The parity-digest tool: four lines, the same on every run of one checkout."""
+"""The parity-digest tool: five lines, the same on every run of one checkout."""
 
 import importlib.util
 import re
@@ -16,14 +16,23 @@ def load_tool():
 
 def test_digest_line_repeats_and_covers_the_grid():
     tool = load_tool()
-    first = tool.report_digest(seeds=[0])
-    assert tool.report_digest(seeds=[0]) == first
+    first, _ = tool.report_digest(seeds=[0])
+    assert tool.report_digest(seeds=[0])[0] == first
     reports, refused = re.fullmatch(
         r"(\d+) reports, (\d+) refused, sha256:[0-9a-f]{64}", first
     ).groups()
     # One seed: five lengths x five configurations, each rendered or refused.
     assert int(reports) + int(refused) == 25
-    assert tool.report_digest(seeds=[]) != first
+    assert tool.report_digest(seeds=[])[0] != first
+
+
+def test_numbers_line_repeats_and_sees_each_seed():
+    tool = load_tool()
+    rendered, first = tool.report_digest(seeds=[0])
+    assert tool.report_digest(seeds=[0]) == (rendered, first)
+    assert re.fullmatch(r"numbers: sha256:[0-9a-f]{64}", first)
+    assert tool.report_digest(seeds=[1])[1] != first
+    assert tool.report_digest(seeds=[])[1] != first
 
 
 def test_montecarlo_line_repeats_and_sees_each_run():

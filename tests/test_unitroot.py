@@ -151,6 +151,17 @@ class TestAdf:
         for kind in DETERMINISTIC_KINDS:
             with pytest.raises(DegeneracyError, match="^collinear regressors$"):
                 adf_test(series(np.full(60, 3.0)), kind)
+        # In an exact quadratic, lag 2 is a combination of lag 1 and the
+        # intercept. A fixed lag 2 and a search up to 2 factor the same
+        # design on the same sample, so they give the same verdict.
+        quadratic = series(np.polyval([0.06, -1.32, 0.13], np.arange(43) / 43))
+        for kind in DETERMINISTIC_KINDS:
+            messages = []
+            for options in ({"lags": 2}, {"max_lags": 2}):
+                with pytest.raises(DegeneracyError, match="^collinear regressors$") as exc:
+                    adf_test(quadratic, kind, **options)
+                messages.append(str(exc.value))
+            assert messages[0] == messages[1]
 
     def test_exact_fit_refused(self):
         # dy = -0.1 * y exactly, so the lag-0 regression leaves an SSR of

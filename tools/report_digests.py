@@ -1,4 +1,4 @@
-"""One-line digest of every report and number the pipeline computes on a fixed grid.
+"""Five-line digest of every report and number the pipeline computes on a fixed grid.
 
 Run it once per checkout, importing the package from ``PYTHONPATH``:
 
@@ -9,33 +9,33 @@ Equal lines mean that a change left every report byte and every computed
 float bit as it was. The grid is seeds 0-19 x n in {60, 120, 171, 240,
 360} draws of the model at the README truth, each written as a CSV file
 and estimated under five configurations (default, csv output, bandwidth
-0, lags 2 with bandwidth 9, trend origin 1990-01). The SHA-256 covers,
-in order:
+0, lags 2 with bandwidth 9, trend origin 1990-01).
 
-- per run, the rendered estimate report and delta-path CSV, or the
-  message of the error that refused the run;
-- per run, ``float.hex`` of every unit-root statistic, critical value
-  and p-value, every FM-OLS coefficient, standard error, t-ratio, R^2,
-  Lc statistic, Omega, Lambda and Gamma0 entry, the correlation and
-  every delta-path value;
-- per draw, the same FM-OLS numbers for ``coint.fmols`` on the raw
-  simulated series under all three deterministic configurations at
-  bandwidth None, 0 and 5;
-- a rendered 50-seed x 171-month Monte Carlo summary.
+The first line, ``<reports> reports, <refused> refused, sha256:<hex>``,
+covers what a user reads: per run, the rendered estimate report and
+delta-path CSV, or the message of the error that refused the run (a
+draw whose fitted sigma is not positive, for instance); then a rendered
+50-seed x 171-month Monte Carlo summary.
 
-The line reads ``<reports> reports, <refused> refused, sha256:<hex>``:
-a report is one run rendered, a refusal one run that raised a package
-error (a draw whose fitted sigma is not positive, for instance).
+The second line, ``numbers: sha256:<hex>``, covers the full-precision
+numbers behind them, per draw: ``float.hex`` of every FM-OLS
+coefficient, standard error, t-ratio, R^2, Lc statistic, Omega, Lambda
+and Gamma0 entry of ``coint.fmols`` on the raw simulated series under
+all three deterministic configurations at bandwidth None, 0 and 5 (or
+the refusal); then, per run rendered, of every unit-root statistic,
+critical value and p-value, the same FM-OLS numbers, the correlation
+and every delta-path value. A change that moves last bits but no
+rendered byte moves this line and not the first.
 
-A second line, ``montecarlo raw: <runs> runs, sha256:<hex>``, hashes the
+The third line, ``montecarlo raw: <runs> runs, sha256:<hex>``, hashes the
 unrounded ``run_montecarlo`` dicts (every key, value type and
 ``float.hex``) of 50 seeds x 171 months and 61 seeds x 400 months. The
-rendering above keeps 9 digits, so it can miss a last-bit change that
-this line catches. Neither seed count is a multiple of the Monte Carlo's
-block of seeds (29 at 171 months, 12 at 400), so a partial last block is
-covered.
+first line's rendering keeps 9 digits, so it can miss a last-bit change
+that this line catches. Neither seed count is a multiple of the Monte
+Carlo's block of seeds (29 at 171 months, 12 at 400), so a partial last
+block is covered.
 
-A third line, ``ingest: <files> files, sha256:<hex>``, covers CSV
+The fourth line, ``ingest: <files> files, sha256:<hex>``, covers CSV
 ingestion. Each draw of the grid is written in both input schemas (the
 lei schema's ``m_eur_lei`` is fx * m_eur) and each of those as LF, CRLF
 and BOM+CRLF bytes. For each such file the hash takes the
@@ -45,7 +45,7 @@ each schema (a month left out, a month repeated, a bad date, a row with
 one field too many, a ``nan`` value) add their refusal messages. No
 file holds a blank line. ``<files>`` counts every file ingested.
 
-A fourth line, ``fmols stack: <stacks> stacks, sha256:<hex>``, covers
+The fifth line, ``fmols stack: <stacks> stacks, sha256:<hex>``, covers
 the stacked FM-OLS rows that the Monte Carlo reads, whose Lc bits the
 raw line cannot see: it hashes only rejection rates. The stacks are
 the ``model.simulate_paths`` (y, spread) draws of the raw line's two
@@ -105,32 +105,31 @@ def _fmols_floats(report: coint.FmolsReport) -> list:
     return values
 
 
-def _estimate_run(path: str, config: pipeline.PipelineConfig) -> list[bytes]:
-    """The rendered outputs and full-precision numbers of one estimate run."""
+def _estimate_run(path: str, config: pipeline.PipelineConfig, shown, numbers) -> None:
+    """Hash one estimate run: its rendered outputs into ``shown`` and its
+    full-precision numbers into ``numbers``."""
     ingested = pipeline.ingest(path)
     derived = pipeline.derive_series(ingested.rows, config)
     runs = pipeline.run_unit_roots(derived, config)
     est = pipeline.run_estimation(derived, config)
     doc = pipeline.build_report(config, ingested, unit_roots=runs, estimation=est)
-    chunks = [
-        pipeline.render_report(doc, config.output_format).encode(),
-        pipeline.render_delta_path_csv(est).encode(),
-    ]
-    for run in runs:
-        rep = run.report
-        chunks.append(
+    shown.update(pipeline.render_report(doc, config.output_format).encode())
+    shown.update(pipeline.render_delta_path_csv(est).encode())
+    for rep in (run.report for run in runs):
+        numbers.update(
             _hex_line([rep.statistic, *rep.critical_values.values(), rep.approx_p_value])
         )
-    chunks.append(_hex_line(_fmols_floats(est.fmols)))
-    chunks.append(
+    numbers.update(_hex_line(_fmols_floats(est.fmols)))
+    numbers.update(
         _hex_line([est.correlation, *est.delta_ratio.values, *est.delta.values])
     )
-    return chunks
 
 
-def report_digest(seeds=SEEDS) -> str:
-    """The digest line over the grid, for the given simulation seeds."""
-    sha = hashlib.sha256()
+def report_digest(seeds=SEEDS) -> tuple[str, str]:
+    """The rendered line and the numbers line over the grid, for the
+    given simulation seeds."""
+    shown = hashlib.sha256()
+    numbers = hashlib.sha256()
     reports = refused = 0
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "draw.csv")
@@ -147,25 +146,26 @@ def report_digest(seeds=SEEDS) -> str:
                                 bandwidth=bandwidth,
                             )
                         except CurrsubError as exc:
-                            sha.update(f"fmols refused: {exc}\n".encode())
+                            numbers.update(f"fmols refused: {exc}\n".encode())
                         else:
-                            sha.update(_hex_line(_fmols_floats(report)))
+                            numbers.update(_hex_line(_fmols_floats(report)))
                 pipeline.write_dataset_csv(
                     pipeline.dataset_rows_from_simulation(sim), path
                 )
                 for config in CONFIGS:
                     try:
-                        chunks = _estimate_run(path, config)
+                        _estimate_run(path, config, shown, numbers)
                     except CurrsubError as exc:
                         refused += 1
-                        sha.update(f"refused: {type(exc).__name__}: {exc}\n".encode())
+                        shown.update(f"refused: {type(exc).__name__}: {exc}\n".encode())
                         continue
                     reports += 1
-                    for chunk in chunks:
-                        sha.update(chunk)
     mc = pipeline.MonteCarloConfig(n_seeds=50, n_obs=171, coeffs=TRUTH, noise=NOISE)
-    sha.update(pipeline.render_report({"montecarlo": pipeline.run_montecarlo(mc)}).encode())
-    return f"{reports} reports, {refused} refused, sha256:{sha.hexdigest()}"
+    shown.update(pipeline.render_report({"montecarlo": pipeline.run_montecarlo(mc)}).encode())
+    return (
+        f"{reports} reports, {refused} refused, sha256:{shown.hexdigest()}",
+        f"numbers: sha256:{numbers.hexdigest()}",
+    )
 
 
 # Leading bytes and line ending of each copy of an ingest file.
@@ -291,7 +291,7 @@ def fmols_stack_digest(runs=MONTECARLO_RUNS) -> str:
 
 
 if __name__ == "__main__":
-    print(report_digest())
+    print(*report_digest(), sep="\n")
     print(montecarlo_digest())
     print(ingest_digest())
     print(fmols_stack_digest())

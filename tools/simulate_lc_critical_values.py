@@ -12,11 +12,11 @@ The batched arithmetic mirrors currsub.coint.fmols at bandwidth 0 but
 solves normal equations (``_fit``, both stages) instead of the package's
 scaled QR: the trend block is shared by every rep, so the (reps, T, k)
 design is never built, and a QR of it costs more time and memory. The
-cumulated scores are laid out time-last, (reps, k, T - 1), so the running
-sum walks contiguous rows in place, and Hansen's quadratic form
-sum_t S_t' M^-1 S_t is read off the k x k Gram matrix sum_t S_t S_t' as
-sum_ij (M^-1)_ij G_ij: one batched matrix product per chunk. Three
-independent checks guard against transcription drift:
+scores are laid out time-last, (reps, k, T - 1), and Hansen's quadratic
+form sum_t S_t' M^-1 S_t is summed by fmols_stack's own Gram kernel,
+currsub.coint._cumulated_quad, so the script needs ``currsub``
+importable (``PYTHONPATH=src``). Three independent checks guard against
+transcription drift:
 
 1. the no-regressor mean case reduces Lc to the classic level
    stationarity statistic, whose Cramer-von Mises quantiles are known
@@ -45,6 +45,9 @@ import math
 import sys
 
 import numpy as np
+
+from currsub._ols import dot
+from currsub.coint import _cumulated_quad, fmols_stack
 
 TAIL_PROBS = (0.20, 0.15, 0.10, 0.075, 0.05, 0.025, 0.01)
 Z_95 = 1.959964  # two-sided 95% standard normal quantile
@@ -91,23 +94,6 @@ def _chunk_sizes(reps: int, chunk: int) -> list[int]:
     return [min(chunk, reps - done) for done in range(0, reps, chunk)]
 
 
-def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot product of each row of (reps, n) a with the same row of b."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
-def _cumulated_quad(scores: np.ndarray, moment: np.ndarray) -> np.ndarray:
-    """sum_t S_t' M^-1 S_t per rep, S_t the running sums of time-last
-    ``scores`` (reps, k, n) and M the (reps, k, k) or (k, k) ``moment``.
-
-    The sum equals sum_ij (M^-1)_ij G_ij with the Gram matrix
-    G = sum_t S_t S_t': one batched k x k product instead of n quadratic
-    forms. The running sums overwrite ``scores``.
-    """
-    np.cumsum(scores, axis=2, out=scores)
-    return (np.linalg.inv(moment) * (scores @ scores.swapaxes(1, 2))).sum(axis=(1, 2))
-
-
 def quantile_ci_ranks(n: int, q: float) -> tuple[int, int]:
     """1-based ranks (lo, hi) of the order statistics of n draws that bracket
     the q-quantile with probability about 95%, whatever the distribution.
@@ -135,7 +121,8 @@ def simulate_lc_chunk(
     sums S_t run in place along contiguous rows, and sum_t S_t' M^-1 S_t
     is read off the k x k Gram matrix sum_t S_t S_t' (``_cumulated_quad``);
     it agrees with a T-long loop of quadratic forms to rounding (about
-    1e-13 relative).
+    1e-13 relative). Standard-normal draws cannot overflow it, so the
+    division by m * omega112 follows the sum.
 
     The inputs come from ``_draws(rng, reps, t_len)``.
     """
@@ -153,7 +140,7 @@ def simulate_lc_chunk(
     r1c = r1 - r1.mean(axis=1, keepdims=True)
     dxc = dx - dx.mean(axis=1, keepdims=True)
     g11, g12, g22 = (
-        _row_dot(a, b) / m for a, b in ((r1c, r1c), (r1c, dxc), (dxc, dxc))
+        dot(a, b) / m for a, b in ((r1c, r1c), (r1c, dxc), (dxc, dxc))
     )
 
     y_plus = y[:, 1:] - (g12 / g22)[:, None] * dx
@@ -224,17 +211,12 @@ def run_validation(reps: int, t_len: int, chunk: int, seed: int) -> bool:
 
 def run_package_check(seed: int) -> bool:
     """Batched Lc must equal the package's fmols_stack Lc on identical data."""
-    try:
-        from currsub import coint
-    except ImportError:
-        print("package check failed: currsub not importable", flush=True)
-        return False
     print("validation: batched arithmetic vs currsub.coint.fmols", flush=True)
     ok = True
     for config, powers in CONFIG_TREND_POWERS.items():
         batch = simulate_lc_chunk(np.random.default_rng(seed), 50, 171, powers)
         x, y = _draws(np.random.default_rng(seed), 50, 171)
-        fit = coint.fmols_stack(y, x, deterministics=config, bandwidth=0)
+        fit = fmols_stack(y, x, deterministics=config, bandwidth=0)
         gap = max(abs(lc.statistic - b) for lc, b in zip(fit.lc, batch.tolist()))
         status = "ok" if gap < 1e-8 else "FAIL"
         if gap >= 1e-8:
