@@ -3,6 +3,7 @@
 import importlib.util
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -118,6 +119,73 @@ def test_mean_case_vector_equals_scalar_with_a_constant(tool):
     assert np.abs(lc - scalar).max() < 1e-10
 
 
+BLOCK_T = 1000
+
+
+def block_reps(tool):
+    """Rows per block at BLOCK_T, and a rep count of two full blocks and a
+    short third one."""
+    rows = tool._BLOCK_VALUES // BLOCK_T
+    return rows, 2 * rows + 5
+
+
+def test_row_blocks_cover_the_chunk_in_order(tool):
+    rows, reps = block_reps(tool)
+    blocks = tool._row_blocks(reps, BLOCK_T)
+    assert [(b.start, b.stop) for b in blocks] == [
+        (0, rows), (rows, 2 * rows), (2 * rows, reps)
+    ]
+    assert len(tool._row_blocks(rows - 1, BLOCK_T)) == 1
+    # A series longer than a block still gets one row per block.
+    long_t = tool._BLOCK_VALUES + 1
+    assert [(b.start, b.stop) for b in tool._row_blocks(3, long_t)] == [(0, 1), (1, 2), (2, 3)]
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+@pytest.mark.parametrize("span", ["three_blocks", "under_one_block"])
+def test_chunk_across_row_blocks(tool, config, span):
+    rows, reps = block_reps(tool)
+    if span == "under_one_block":
+        reps = rows - 1
+    powers = tool.CONFIG_TREND_POWERS[config]
+    seed = 17
+    batch = tool.simulate_lc_chunk(np.random.default_rng(seed), reps, BLOCK_T, powers)
+    expect = einsum_lc(tool, np.random.default_rng(seed), reps, BLOCK_T, powers)
+    np.testing.assert_allclose(batch, expect, rtol=1e-12, atol=0.0)
+
+    x, y = tool._draws(np.random.default_rng(seed), reps, BLOCK_T)
+    start = MonthStamp(2001, 9)
+    for block in tool._row_blocks(reps, BLOCK_T):
+        for r in sorted({block.start, block.stop - 1}):
+            rep = coint.fmols(
+                MonthlySeries(start, y[r]),
+                MonthlySeries(start, x[r]),
+                deterministics=CONFIGS[config],
+                bandwidth=0,
+            )
+            assert abs(rep.lc_statistic - batch[r]) < 1e-8
+
+
+def test_mean_case_vector_equals_scalar_across_row_blocks(tool):
+    _, reps = block_reps(tool)
+    lc, scalar = tool.simulate_mean_case_chunk(np.random.default_rng(4), reps, BLOCK_T, (0,))
+    assert lc.shape == scalar.shape == (reps,)
+    assert np.abs(lc - scalar).max() < 1e-10
+
+
+def test_default_chunk_memory_peak(tool):
+    # Blocking keeps a 250 x 2000 quadratic-trend chunk near its two draws
+    # (7.6 MiB); fitted as one block it peaks at 46 MiB.
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        tool.simulate_lc_chunk(rng, 250, 2000, (0, 1, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 50, 2000, 100_000])
 def test_quantile_interval_brackets_the_sample_quantile(tool, n):
     sample = np.sort(np.random.default_rng(n).standard_normal(n))
@@ -149,6 +217,8 @@ def test_quantile_interval_covers_at_least_95_percent(tool, n):
         (["--chunk", "0"], "--chunk must be >= 1, got 0"),
         (["--t", "3"], "--t must be >= 30, got 3"),
         (["--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["--quick", "--reps", "5", "--t", "40"], "--quick sets its own sizes; drop --reps, --t"),
+        (["--chunk", "7", "--quick"], "--quick sets its own sizes; drop --chunk"),
     ],
 )
 def test_argument_floors_exit_2(tool, capsys, argv, message):
@@ -158,3 +228,15 @@ def test_argument_floors_exit_2(tool, capsys, argv, message):
     out, err = capsys.readouterr()
     assert out == ""  # refused before the package check prints anything
     assert err.rstrip().endswith(f"error: {message}")
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["--reps", "30", "--t", "40", "--chunk", "7"], "simulating Lc null: reps=30 T=40"),
+        (["--quick"], "simulating Lc null: reps=2000 T=300"),
+    ],
+)
+def test_run_sizes_reach_the_simulation(tool, capsys, argv, line):
+    tool.main(argv)
+    assert line in capsys.readouterr().out.splitlines()

@@ -12,11 +12,21 @@ The batched arithmetic mirrors currsub.coint.fmols at bandwidth 0 but
 solves normal equations (``_fit``, both stages) instead of the package's
 scaled QR: the trend block is shared by every rep, so the (reps, T, k)
 design is never built, and a QR of it costs more time and memory. The
-scores are laid out time-last, (reps, k, T - 1), and Hansen's quadratic
+scores are laid out time-last, (rows, k, T - 1), and Hansen's quadratic
 form sum_t S_t' M^-1 S_t is summed by fmols_stack's own Gram kernel,
 currsub.coint._cumulated_quad, so the script needs ``currsub``
-importable (``PYTHONPATH=src``). Three independent checks guard against
-transcription drift:
+importable (``PYTHONPATH=src``).
+
+Each chunk of --chunk reps is drawn whole (``_draws``: every rep's x,
+then every rep's y) and then fitted in row blocks of about
+``_BLOCK_VALUES`` values (16 rows at T = 2000), so a block's arrays stay
+cache-sized. The blocks sit inside the chunk instead of replacing it: the
+chunk size decides how the generator's stream is cut into draws, and so
+the table, while the block size only decides which rows share a BLAS
+call, which can move a draw's last bits (about 1e-13 relative) but not a
+printed quantile.
+
+Three independent checks guard against transcription drift:
 
 1. the no-regressor mean case reduces Lc to the classic level
    stationarity statistic, whose Cramer-von Mises quantiles are known
@@ -28,10 +38,13 @@ transcription drift:
    currsub.coint.fmols's fits, and the two Lc values must agree to 1e-8.
 
 Usage: python tools/simulate_lc_critical_values.py [--reps 100000]
-           [--t 2000] [--seed 20260815] [--chunk 250] [--quick]
+           [--t 2000] [--seed 20260815] [--chunk 250]
+       python tools/simulate_lc_critical_values.py --quick [--seed N]
 
---reps and --chunk must be at least 1, --t at least 30 and --seed at least 0
-(exit 2 otherwise).
+--quick is --reps 2000 --t 300 --chunk 200 and refuses any of those
+three flags. --reps and --chunk must be at least 1, --t at least 30 and
+--seed at least 0. A refused argument exits 2 before anything is
+simulated.
 
 Prints each configuration's quantiles, each with a distribution-free 95%
 order-statistic confidence interval, then the dict literal to paste into
@@ -107,31 +120,30 @@ def quantile_ci_ranks(n: int, q: float) -> tuple[int, int]:
     return max(math.floor(n * q - half), 1), min(math.ceil(n * q + half) + 1, n)
 
 
-def simulate_lc_chunk(
-    rng: np.random.Generator, reps: int, t_len: int, powers: tuple[int, ...]
-) -> np.ndarray:
-    """Lc draws for ``reps`` datasets with one I(1) regressor.
+# Values (rows x T) per row block of a chunk: 16 rows at T = 2000, 109 at
+# T = 300. A block's largest array, the quadratic-trend scores, is then
+# 0.8 MB, so its working set stays inside a core's 2 MB L2 cache. At
+# 250 reps x T = 2000 on 2 vCPUs, the three configurations take 220 ms as
+# one 250-row block; blocks of 4 rows take 193 ms, of 8 rows 179 ms, of
+# 16 rows 171 ms, of 32 rows 170 ms, of 65 rows 187 ms. The tracemalloc
+# peak of a quadratic-trend chunk is 46.0 MiB as one block, 11.6 MiB at
+# 16 rows (of which the draws are 7.6 MiB), 12.7 MiB at 32 rows and
+# 17.8 MiB at 65 rows.
+_BLOCK_VALUES = 32_768
 
-    Mirrors coint.fmols with bandwidth 0: at that bandwidth the one-sided
-    and two-sided long-run covariances coincide with the contemporaneous
-    one, so the serial-correlation bias term is identically zero and only
-    the endogeneity correction to y survives.
 
-    The scores are built time-last, as (reps, k, T - 1), so their running
-    sums S_t run in place along contiguous rows, and sum_t S_t' M^-1 S_t
-    is read off the k x k Gram matrix sum_t S_t S_t' (``_cumulated_quad``);
-    it agrees with a T-long loop of quadratic forms to rounding (about
-    1e-13 relative). Standard-normal draws cannot overflow it, so the
-    division by m * omega112 follows the sum.
+def _row_blocks(reps: int, t_len: int) -> list[slice]:
+    """Consecutive row slices of _BLOCK_VALUES values each, the last one
+    short, that cover ``reps`` rows of ``t_len`` values (at least one row
+    per block)."""
+    rows = max(_BLOCK_VALUES // t_len, 1)
+    return [slice(lo, min(lo + rows, reps)) for lo in range(0, reps, rows)]
 
-    The inputs come from ``_draws(rng, reps, t_len)``.
-    """
-    d = _deterministics(t_len, powers)
+
+def _lc_block(d: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Lc of each row of (x, y) on deterministics ``d``, bandwidth 0."""
     p = d.shape[1]
-    k = p + 1
-    m = t_len - 1
-    x, y = _draws(rng, reps, t_len)
-
+    m = x.shape[1] - 1
     resid, _ = _fit(d, x, y)
 
     # Bandwidth-0 long-run pieces of (residual, regressor innovation).
@@ -150,26 +162,64 @@ def simulate_lc_chunk(
     x1 = x[:, 1:]
     u_plus, mom1 = _fit(d1, x1, y_plus)
 
-    scores = np.empty((reps, k, m))
+    scores = np.empty((x.shape[0], p + 1, m))
     np.multiply(d1.T[None], u_plus[:, None, :], out=scores[:, :p])
     np.multiply(x1, u_plus, out=scores[:, p])
     return _cumulated_quad(scores, mom1) / (m * omega112)
 
 
+def simulate_lc_chunk(
+    rng: np.random.Generator, reps: int, t_len: int, powers: tuple[int, ...]
+) -> np.ndarray:
+    """Lc draws for ``reps`` datasets with one I(1) regressor.
+
+    Mirrors coint.fmols with bandwidth 0: at that bandwidth the one-sided
+    and two-sided long-run covariances coincide with the contemporaneous
+    one, so the serial-correlation bias term is identically zero and only
+    the endogeneity correction to y survives.
+
+    The inputs come from ``_draws(rng, reps, t_len)``, drawn for the whole
+    chunk at once. The fits then run over row blocks of about
+    _BLOCK_VALUES values (``_row_blocks``), each writing its Lc into the
+    chunk's output, so the working set stays cache-sized whatever the
+    chunk. The blocks sit inside the chunk rather than replacing it: the
+    chunk size fixes how the generator's stream is cut into draws, and so
+    the table, while the block size only changes which rows share a BLAS
+    call (the last bits of a draw, about 1e-13 relative).
+
+    The scores are built time-last, as (rows, k, T - 1), so their running
+    sums S_t run in place along contiguous rows, and sum_t S_t' M^-1 S_t
+    is read off the k x k Gram matrix sum_t S_t S_t' (``_cumulated_quad``);
+    it agrees with a T-long loop of quadratic forms to rounding (about
+    1e-13 relative). Standard-normal draws cannot overflow it, so the
+    division by m * omega112 follows the sum.
+    """
+    d = _deterministics(t_len, powers)
+    x, y = _draws(rng, reps, t_len)
+    lc = np.empty(reps)
+    for rows in _row_blocks(reps, t_len):
+        lc[rows] = _lc_block(d, x[rows], y[rows])
+    return lc
+
+
 def simulate_mean_case_chunk(
     rng: np.random.Generator, reps: int, t_len: int, powers: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """No-regressor reduction: (vector Lc, scalar partial-sum statistic)."""
+    """No-regressor reduction: (vector Lc, scalar partial-sum statistic),
+    drawn for the whole chunk and fitted in ``_row_blocks``."""
     d = _deterministics(t_len, powers)
+    dtd = d.T @ d
     y = rng.standard_normal((reps, t_len))
-    beta = np.linalg.solve(d.T @ d, (y @ d).T).T
-    resid = y - beta @ d.T
-    omega = (resid * resid).mean(axis=1)
-
-    lc = _cumulated_quad(d.T[None] * resid[:, None, :], d.T @ d) / (t_len * omega)
-
-    s = np.cumsum(resid, axis=1)
-    scalar = (s * s).sum(axis=1) / (t_len**2 * omega)
+    lc = np.empty(reps)
+    scalar = np.empty(reps)
+    for rows in _row_blocks(reps, t_len):
+        block = y[rows]
+        beta = np.linalg.solve(dtd, (block @ d).T).T
+        resid = block - beta @ d.T
+        omega = (resid * resid).mean(axis=1)
+        lc[rows] = _cumulated_quad(d.T[None] * resid[:, None, :], dtd) / (t_len * omega)
+        s = np.cumsum(resid, axis=1)
+        scalar[rows] = (s * s).sum(axis=1) / (t_len**2 * omega)
     return lc, scalar
 
 
@@ -227,26 +277,34 @@ def run_package_check(seed: int) -> bool:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--reps", type=int, default=100_000)
-    parser.add_argument("--t", dest="t_len", type=int, default=2000)
+    parser.add_argument("--reps", type=int, help="default 100000")
+    parser.add_argument("--t", dest="t_len", type=int, help="default 2000")
     parser.add_argument("--seed", type=int, default=20260815)
-    parser.add_argument("--chunk", type=int, default=250)
+    parser.add_argument("--chunk", type=int, help="default 250")
     parser.add_argument(
-        "--quick", action="store_true", help="tiny run to exercise the code"
+        "--quick",
+        action="store_true",
+        help="tiny run to exercise the code: --reps 2000 --t 300 --chunk 200",
     )
     args = parser.parse_args(argv)
+    sizes = {"--reps": args.reps, "--t": args.t_len, "--chunk": args.chunk}
+    given = [flag for flag, value in sizes.items() if value is not None]
+    if args.quick and given:
+        parser.error(f"--quick sets its own sizes; drop {', '.join(given)}")
+    defaults = (2000, 300, 200) if args.quick else (100_000, 2000, 250)
+    reps, t_len, chunk = (
+        default if value is None else value
+        for value, default in zip(sizes.values(), defaults)
+    )
     # --t floors at the 30 observations that coint.fmols requires.
     for flag, value, floor in (
-        ("--reps", args.reps, 1),
-        ("--chunk", args.chunk, 1),
-        ("--t", args.t_len, 30),
+        ("--reps", reps, 1),
+        ("--chunk", chunk, 1),
+        ("--t", t_len, 30),
         ("--seed", args.seed, 0),
     ):
         if value < floor:
             parser.error(f"{flag} must be >= {floor}, got {value}")
-    reps, t_len, chunk = args.reps, args.t_len, args.chunk
-    if args.quick:
-        reps, t_len, chunk = 2000, 300, 200
 
     ok = run_package_check(args.seed)
     ok = run_validation(reps, t_len, chunk, args.seed) and ok
