@@ -24,7 +24,6 @@ from .series import (
     MonthStamp,
     MonthlySeries,
     pearson_correlation,
-    span_length,
 )
 from .model import (
     AgentState,
@@ -86,6 +85,5 @@ __all__ = [
     "pp_test",
     "relative_demand_log",
     "simulate_dgp",
-    "span_length",
     "utility",
 ]

@@ -140,9 +140,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         start=MonthStamp.parse(args.start),
         spread_start=args.spread_start,
     )
-    rows = pipeline.dataset_rows_from_simulation(
-        sim, phi_annual=args.phi_annual if args.phi_annual is not None else 0.01
-    )
+    rows = pipeline.dataset_rows_from_simulation(sim, phi_annual=args.phi_annual)
     _emit(pipeline.dataset_csv_text(rows), args.output)
     return 0
 
@@ -221,7 +219,10 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--start", default="2001-09", metavar="YYYY-MM")
     sim.add_argument("--spread-start", dest="spread_start", type=float, default=0.0)
-    sim.add_argument("--phi-annual", dest="phi_annual", type=float)
+    sim.add_argument(
+        "--phi-annual", dest="phi_annual", type=float,
+        default=pipeline.PipelineConfig.phi_annual,
+    )
     sim.add_argument("--output", metavar="PATH")
     sim.set_defaults(handler=_cmd_simulate)
 

@@ -9,6 +9,11 @@ Conventions are fixed here once: autocovariances are demeaned and
 normalized by the full length n, the kernel is Bartlett with weights
 1 - j/(b+1), and the automatic bandwidth is the Newey-West rule
 floor(4*(n/100)^(2/9)).
+
+Inputs are plain arrays: :func:`long_run_cov` takes one series, shape
+(n,), or a stack of series, shape (S, n), and
+:func:`bartlett_long_run_variance` one series, shape (n,). Any other
+shape is refused, never flattened into one series.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .series import MonthlySeries
 
 __all__ = [
     "LongRunCovariance",
@@ -36,13 +40,13 @@ def newey_west_bandwidth(n: int) -> int:
     return int(math.floor(4.0 * (n / 100.0) ** (2.0 / 9.0)))
 
 
-def _as_values(x) -> np.ndarray:
-    """Finite values of a series, or of each row of a 2-D stack of series."""
-    if isinstance(x, MonthlySeries):
-        return x.values
+def _as_values(x, max_ndim: int) -> np.ndarray:
+    """``x`` as a finite float array of one series, shape (n,), or, with
+    ``max_ndim`` 2, also of a stack of series, shape (S, n)."""
     arr = np.asarray(x, dtype=float)
-    if arr.ndim != 2:
-        arr = arr.reshape(-1)
+    if not 1 <= arr.ndim <= max_ndim:
+        expected = "1-D or 2-D" if max_ndim == 2 else "1-D"
+        raise DataError(f"inputs must be {expected}, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise DataError("inputs must be finite")
     return arr
@@ -114,8 +118,8 @@ def long_run_cov(u, v, bandwidth: int | None = None) -> LongRunCovariance:
     2-D u and v are stacks of series, one per row: the result then
     holds one covariance per row, each computed as for that row alone.
     """
-    u = _as_values(u)
-    v = _as_values(v)
+    u = _as_values(u, 2)
+    v = _as_values(v, 2)
     if u.shape != v.shape:
         raise DataError(f"length mismatch: {u.size} vs {v.size}")
     n = u.shape[-1]
@@ -137,7 +141,7 @@ def bartlett_long_run_variance(e, bandwidth: int) -> float:
     demeaning: intended for regression residuals that are already
     orthogonal to an intercept: the two-sided sum of e as an n x 1 column.
     """
-    e = _as_values(e).reshape(-1, 1)
+    e = _as_values(e, 1)[:, None]
     n = e.shape[0]
     if n < 2:
         raise DataError(f"need at least 2 observations, got {n}")

@@ -309,28 +309,26 @@ def relative_demand_log(
     )
 
 
-def delta_ratio_at(t: float, coeffs: TrendCoefficients, eps: float = 0.0) -> float:
-    """The share ratio (1-delta)/delta at month index ``t``.
-
-    Inverts the trend equation: exp((v0 + v1*t + v2*t^2 + eps)/sigma).
-    ``t`` counts months from the trend origin; ``eps`` defaults to 0,
-    i.e. the fitted deterministic path.
+def delta_ratio_at(t: float, coeffs: TrendCoefficients) -> float:
+    """The share ratio (1-delta)/delta at month index ``t`` on the fitted
+    deterministic path: exp((v0 + v1*t + v2*t^2)/sigma), the trend
+    equation inverted with the disturbance at zero. ``t`` counts months
+    from the trend origin.
     """
-    eps = _require_finite("eps", eps)
     try:
-        return math.exp((coeffs.trend_at(float(t)) + eps) / coeffs.sigma)
+        return math.exp(coeffs.trend_at(float(t)) / coeffs.sigma)
     except OverflowError:
         raise DegeneracyError(f"share ratio overflows at t={t}") from None
 
 
-def delta_at(t: float, coeffs: TrendCoefficients, eps: float = 0.0) -> float:
-    """The share delta = 1/(1 + ratio) at month index ``t``; always in (0, 1).
+def delta_at(t: float, coeffs: TrendCoefficients) -> float:
+    """The share delta = 1/(1 + ratio) at month index ``t`` on the same
+    path as :func:`delta_ratio_at`; always in (0, 1).
 
     For trends extreme enough to underflow the logistic, the result
     saturates at the nearest double inside the open interval.
     """
-    eps = _require_finite("eps", eps)
-    q = (coeffs.trend_at(float(t)) + eps) / coeffs.sigma
+    q = coeffs.trend_at(float(t)) / coeffs.sigma
     # Logistic evaluated on the dominant side so neither exp overflows.
     if q >= 0.0:
         e = math.exp(-q)

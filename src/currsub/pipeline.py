@@ -13,8 +13,9 @@ Serialization rule: every float in an emitted report is rounded to 9
 significant digits, which makes repeated runs byte-identical and report
 files diffable. :func:`render_report` walks the report document once and
 rounds each float as it writes it; its JSON is the text that
-``json.dumps(indent=2, allow_nan=False)`` gives the rounded document, and
-its CSV has one row per value.
+``json.dumps(indent=2, allow_nan=False)`` gives the rounded document
+(report keys are strings; any other key is refused with ``TypeError``),
+and its CSV has one row per value.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import csv
 import dataclasses
 import hashlib
 import io
-import json
 import math
 import operator
 import statistics
@@ -166,8 +166,6 @@ class DerivedSeries:
 
     log_money_ratio: MonthlySeries
     oc_spread_log: MonthlySeries
-    oc_dom: MonthlySeries
-    oc_for: MonthlySeries
 
 
 @dataclass(frozen=True)
@@ -329,8 +327,6 @@ def derive_series(rows: tuple[DatasetRow, ...], config: PipelineConfig) -> Deriv
     return DerivedSeries(
         log_money_ratio=MonthlySeries(start, ratio),
         oc_spread_log=MonthlySeries(start, spread),
-        oc_dom=MonthlySeries(start, oc_dom),
-        oc_for=MonthlySeries(start, oc_for),
     )
 
 
@@ -512,7 +508,7 @@ def _exp(value: float) -> float:
 
 
 def dataset_rows_from_simulation(
-    sim: model.SimulatedDgp, phi_annual: float = 0.01
+    sim: model.SimulatedDgp, phi_annual: float = PipelineConfig.phi_annual
 ) -> tuple[DatasetRow, ...]:
     """Invert the derivation: wrap a simulated draw as a raw dataset.
 
@@ -644,13 +640,6 @@ def _round(value: float) -> float | None:
     return float(_fmt(value)) if math.isfinite(value) else None
 
 
-def _json_key(key) -> str:
-    """A key that is not a string, as the string json.dumps makes of it."""
-    if key is None or isinstance(key, (int, float)):
-        return json.dumps(key, allow_nan=False)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
 def _json_chunks(obj, indent: str, out: list) -> None:
     """Append the text json.dumps(indent=2) gives ``obj`` at nesting
     ``indent``, each float rounded by :func:`_round` as it is written."""
@@ -667,7 +656,7 @@ def _json_chunks(obj, indent: str, out: list) -> None:
         separator = "{\n" + inner
         for key, value in obj.items():
             if not isinstance(key, str):
-                key = _json_key(key)
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
             out.append(separator + encode_basestring_ascii(key) + ": ")
             _json_chunks(value, inner, out)
             separator = ",\n" + inner

@@ -5,6 +5,11 @@ observation ``k`` belongs to ``start`` advanced by ``k`` months, with no
 gaps or duplicates. Missing months are a hard error everywhere in this
 package because the downstream unit-root and cointegration machinery
 assumes a regular sampling grid.
+
+A series carries no slicing or arithmetic of its own: a caller that
+needs months ``i`` to ``j`` of ``s`` builds
+``MonthlySeries(s.start.shift(i), s.values[i:j + 1])``, and new values
+on the same calendar are ``MonthlySeries(s.start, values)``.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from .errors import DataError, DegeneracyError
 __all__ = [
     "MonthStamp",
     "MonthlySeries",
-    "span_length",
     "require_finite",
     "pearson_correlation",
 ]
@@ -78,13 +82,6 @@ def require_finite(start: MonthStamp, values: np.ndarray) -> None:
         raise DataError(f"non-finite value at {start.shift(k)} (position {k})")
 
 
-def span_length(a: MonthStamp, b: MonthStamp) -> int:
-    """Number of months from ``a`` to ``b``, inclusive of both endpoints."""
-    if a > b:
-        raise DataError(f"start {a} is after end {b}")
-    return b.index - a.index + 1
-
-
 @dataclass(frozen=True)
 class MonthlySeries:
     """A contiguous monthly series of finite float values.
@@ -107,10 +104,6 @@ class MonthlySeries:
     def __len__(self) -> int:
         return int(self.values.size)
 
-    @property
-    def end(self) -> MonthStamp:
-        return self.start.shift(len(self) - 1)
-
     def dates(self) -> list[MonthStamp]:
         return [self.start.shift(k) for k in range(len(self))]
 
@@ -118,26 +111,6 @@ class MonthlySeries:
         """``str`` of each of :meth:`dates`, without building the stamps."""
         first = self.start.index
         return [_month_label(index) for index in range(first, first + len(self))]
-
-    def slice(self, begin: MonthStamp, end: MonthStamp) -> "MonthlySeries":
-        """Restrict to the inclusive range [begin, end]."""
-        if begin > end:
-            raise DataError(f"empty slice: {begin} after {end}")
-        if begin < self.start or end > self.end:
-            raise DataError(
-                f"slice [{begin}, {end}] outside series range "
-                f"[{self.start}, {self.end}]"
-            )
-        i = begin.index - self.start.index
-        j = end.index - self.start.index + 1
-        return MonthlySeries(begin, self.values[i:j])
-
-    def with_values(self, values: np.ndarray) -> "MonthlySeries":
-        """Same start date, new values of the same length."""
-        arr = np.asarray(values, dtype=float)
-        if arr.size != len(self):
-            raise DataError("replacement values must preserve length")
-        return MonthlySeries(self.start, arr)
 
 
 def pearson_correlation(a: MonthlySeries, b: MonthlySeries) -> float:

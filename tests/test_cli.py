@@ -85,6 +85,14 @@ class TestSimulate:
         assert main(simulate_args(b, seed=1)) == 0
         assert a.read_text() != b.read_text()
 
+    def test_phi_annual_defaults_to_the_pipeline_default(self, tmp_path):
+        paths = [tmp_path / f"{k}.csv" for k in range(3)]
+        assert main(simulate_args(paths[0], seed=5)) == 0
+        assert main(simulate_args(paths[1], seed=5) + ["--phi-annual", "0.01"]) == 0
+        assert main(simulate_args(paths[2], seed=5) + ["--phi-annual", "0.03"]) == 0
+        default, explicit, other = (p.read_bytes() for p in paths)
+        assert default == explicit != other
+
     def test_start_flag_sets_calendar(self, tmp_path):
         path = tmp_path / "out.csv"
         argv = simulate_args(path, seed=0) + ["--start", "1999-01"]

@@ -243,7 +243,7 @@ class TestFmolsEquivariance:
             y, x = sim.log_money_ratio, sim.oc_spread_log
             for config in configs:
                 base = coint.fmols(y, x, config)
-                scaled = coint.fmols(y.with_values(c * y.values), x, config)
+                scaled = coint.fmols(MonthlySeries(y.start, c * y.values), x, config)
                 for name in base.params:
                     assert scaled.params[name] == pytest.approx(
                         c * base.params[name], rel=1e-8, abs=1e-12

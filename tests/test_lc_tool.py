@@ -131,14 +131,25 @@ def block_reps(tool):
 
 def test_row_blocks_cover_the_chunk_in_order(tool):
     rows, reps = block_reps(tool)
-    blocks = tool._row_blocks(reps, BLOCK_T)
+    blocks = tool._row_blocks(reps, BLOCK_T, tool._BLOCK_VALUES)
     assert [(b.start, b.stop) for b in blocks] == [
         (0, rows), (rows, 2 * rows), (2 * rows, reps)
     ]
-    assert len(tool._row_blocks(rows - 1, BLOCK_T)) == 1
+    assert len(tool._row_blocks(rows - 1, BLOCK_T, tool._BLOCK_VALUES)) == 1
     # A series longer than a block still gets one row per block.
     long_t = tool._BLOCK_VALUES + 1
-    assert [(b.start, b.stop) for b in tool._row_blocks(3, long_t)] == [(0, 1), (1, 2), (2, 3)]
+    assert [(b.start, b.stop) for b in tool._row_blocks(3, long_t, tool._BLOCK_VALUES)] == [
+        (0, 1), (1, 2), (2, 3)
+    ]
+
+
+def test_default_run_draws_chunks_of_250_reps(tool):
+    # The chunk size cuts the generator's stream, so it fixes the table:
+    # at the default T a run draws 250 reps at a time, the last chunk short.
+    chunks = tool._row_blocks(1010, 2000, tool._CHUNK_VALUES)
+    assert [(c.start, c.stop) for c in chunks] == [
+        (0, 250), (250, 500), (500, 750), (750, 1000), (1000, 1010)
+    ]
 
 
 @pytest.mark.parametrize("config", sorted(CONFIGS))
@@ -155,7 +166,7 @@ def test_chunk_across_row_blocks(tool, config, span):
 
     x, y = tool._draws(np.random.default_rng(seed), reps, BLOCK_T)
     start = MonthStamp(2001, 9)
-    for block in tool._row_blocks(reps, BLOCK_T):
+    for block in tool._row_blocks(reps, BLOCK_T, tool._BLOCK_VALUES):
         for r in sorted({block.start, block.stop - 1}):
             rep = coint.fmols(
                 MonthlySeries(start, y[r]),
@@ -175,7 +186,8 @@ def test_mean_case_vector_equals_scalar_across_row_blocks(tool):
 
 def test_default_chunk_memory_peak(tool):
     # Blocking keeps a 250 x 2000 quadratic-trend chunk near its two draws
-    # (7.6 MiB); fitted as one block it peaks at 46 MiB.
+    # (7.6 MiB; 10.3 MiB in all): fitted as one block it peaks at 46.7 MiB,
+    # and with a temporary for every step of the draws at 11.6 MiB.
     rng = np.random.default_rng(0)
     tracemalloc.start()
     try:
@@ -183,22 +195,22 @@ def test_default_chunk_memory_peak(tool):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * 2**20
+    assert peak <= 11 * 2**20
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 50, 2000, 100_000])
 def test_quantile_interval_brackets_the_sample_quantile(tool, n):
     sample = np.sort(np.random.default_rng(n).standard_normal(n))
-    for prob in tool.TAIL_PROBS:
+    for prob in coint.LC_TAIL_PROBS:
         lo, hi = tool.quantile_ci_ranks(n, 1.0 - prob)
         assert 1 <= lo <= hi <= n
         assert sample[lo - 1] <= np.quantile(sample, 1.0 - prob) <= sample[hi - 1]
 
 
-@pytest.mark.parametrize("n", [2000, 100_000])  # --quick and the default reps
+@pytest.mark.parametrize("n", [2000, 100_000])  # a small and the default --reps
 def test_quantile_interval_covers_at_least_95_percent(tool, n):
     # X_(lo) <= xi_q < X_(hi) exactly when Binomial(n, q) lies in [lo, hi - 1].
-    for prob in tool.TAIL_PROBS:
+    for prob in coint.LC_TAIL_PROBS:
         q = 1.0 - prob
         lo, hi = tool.quantile_ci_ranks(n, q)
         log_pmf = (
@@ -214,11 +226,10 @@ def test_quantile_interval_covers_at_least_95_percent(tool, n):
     [
         (["--reps", "0"], "--reps must be >= 1, got 0"),
         (["--reps", "-5"], "--reps must be >= 1, got -5"),
-        (["--chunk", "0"], "--chunk must be >= 1, got 0"),
+        (["--chunk", "0"], "unrecognized arguments: --chunk 0"),
         (["--t", "3"], "--t must be >= 30, got 3"),
         (["--seed", "-1"], "--seed must be >= 0, got -1"),
-        (["--quick", "--reps", "5", "--t", "40"], "--quick sets its own sizes; drop --reps, --t"),
-        (["--chunk", "7", "--quick"], "--quick sets its own sizes; drop --chunk"),
+        (["--quick"], "unrecognized arguments: --quick"),
     ],
 )
 def test_argument_floors_exit_2(tool, capsys, argv, message):
@@ -233,8 +244,8 @@ def test_argument_floors_exit_2(tool, capsys, argv, message):
 @pytest.mark.parametrize(
     "argv, line",
     [
-        (["--reps", "30", "--t", "40", "--chunk", "7"], "simulating Lc null: reps=30 T=40"),
-        (["--quick"], "simulating Lc null: reps=2000 T=300"),
+        (["--reps", "30", "--t", "40"], "simulating Lc null: reps=30 T=40"),
+        (["--reps", "2000", "--t", "300"], "simulating Lc null: reps=2000 T=300"),
     ],
 )
 def test_run_sizes_reach_the_simulation(tool, capsys, argv, line):

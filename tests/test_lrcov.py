@@ -96,16 +96,12 @@ class TestLongRunCov:
         lrc = long_run_cov(u, u + rng.standard_normal(171))
         assert lrc.bandwidth == newey_west_bandwidth(171)
 
-    def test_accepts_monthly_series(self):
-        from currsub.series import MonthStamp, MonthlySeries
-
+    def test_more_than_two_axes_rejected(self):
+        # A (2, 3, 50) pair is six series, not one 300-value series.
         rng = np.random.default_rng(4)
-        start = MonthStamp(2001, 9)
-        a = MonthlySeries(start, rng.standard_normal(60))
-        b = MonthlySeries(start, rng.standard_normal(60))
-        direct = long_run_cov(a.values, b.values, bandwidth=3)
-        wrapped = long_run_cov(a, b, bandwidth=3)
-        assert np.array_equal(direct.omega, wrapped.omega)
+        u, v = rng.standard_normal((2, 2, 3, 50))
+        with pytest.raises(DataError, match=r"1-D or 2-D, got shape \(2, 3, 50\)"):
+            long_run_cov(u, v)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(DataError, match="length mismatch"):
@@ -173,6 +169,12 @@ class TestBartlettLongRunVariance:
     def test_short_input_rejected(self):
         with pytest.raises(DataError):
             bartlett_long_run_variance(np.ones(1), 0)
+
+    @pytest.mark.parametrize("shape", [(4, 50), (50, 1)])
+    def test_stack_rejected(self, shape):
+        # One variance of one series: a stack is not read as one sequence.
+        with pytest.raises(DataError, match="must be 1-D"):
+            bartlett_long_run_variance(np.ones(shape), 2)
 
     def test_negative_bandwidth_rejected(self):
         with pytest.raises(ParameterError):

@@ -269,11 +269,6 @@ class TestDeltaPath:
         assert t_star == pytest.approx(145.42, abs=0.01)
         assert delta_ratio_at(145, TABLE_COEFFS) == pytest.approx(0.01015, abs=1e-4)
 
-    def test_eps_shifts_the_ratio(self):
-        base = delta_ratio_at(10, TABLE_COEFFS)
-        up = delta_ratio_at(10, TABLE_COEFFS, eps=TABLE_COEFFS.sigma)
-        assert up == pytest.approx(base * math.e, rel=1e-12)
-
     @given(st.floats(-1e4, 1e4))
     def test_delta_stays_in_unit_interval(self, t):
         d = delta_at(t, TABLE_COEFFS)
@@ -358,7 +353,7 @@ class TestSimulateDgp:
             TABLE_COEFFS, 40, self.NOISE, seed=1, start=MonthStamp(2010, 2)
         )
         assert sim.log_money_ratio.start == MonthStamp(2010, 2)
-        assert sim.eps.end == MonthStamp(2010, 2).shift(39)
+        assert sim.eps.dates()[-1] == MonthStamp(2010, 2).shift(39)
 
     def test_sample_size_floor(self):
         with pytest.raises(DataError):

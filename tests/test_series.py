@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
 
 from currsub.errors import DataError, DegeneracyError
 from currsub.series import (
     MonthlySeries,
     MonthStamp,
     pearson_correlation,
-    span_length,
 )
 
 monthstamps = st.builds(
@@ -51,25 +49,12 @@ class TestMonthStamp:
     def test_shift_composes(self, stamp, a, b):
         assert stamp.shift(a).shift(b) == stamp.shift(a + b)
 
-    @given(monthstamps, st.integers(0, 500))
-    def test_span_length_matches_shift(self, stamp, k):
-        assert span_length(stamp, stamp.shift(k)) == k + 1
-
-    def test_span_length_study_window(self):
-        # 2001-09 through 2015-11 is the 171-month window the default
-        # simulated datasets mirror.
-        assert span_length(MonthStamp(2001, 9), MonthStamp(2015, 11)) == 171
-
-    def test_span_length_rejects_reversed(self):
-        with pytest.raises(DataError):
-            span_length(MonthStamp(2002, 1), MonthStamp(2001, 12))
 
 
 class TestMonthlySeries:
     def test_basic_accessors(self):
         s = MonthlySeries(MonthStamp(2001, 9), [1.0, 2.0, 3.0])
         assert len(s) == 3
-        assert s.end == MonthStamp(2001, 11)
         assert [str(d) for d in s.dates()] == ["2001-09", "2001-10", "2001-11"]
 
     def test_values_are_frozen_and_copied(self):
@@ -88,34 +73,14 @@ class TestMonthlySeries:
         with pytest.raises(DataError, match="2001-11"):
             MonthlySeries(MonthStamp(2001, 9), [1.0, 2.0, np.nan, 4.0])
 
-    def test_slice_inclusive(self):
-        s = MonthlySeries(MonthStamp(2001, 9), np.arange(6.0))
-        cut = s.slice(MonthStamp(2001, 10), MonthStamp(2002, 1))
-        assert cut.start == MonthStamp(2001, 10)
-        assert_allclose(cut.values, [1.0, 2.0, 3.0, 4.0])
-
-    def test_slice_outside_range(self):
-        s = MonthlySeries(MonthStamp(2001, 9), np.arange(6.0))
-        with pytest.raises(DataError):
-            s.slice(MonthStamp(2001, 8), MonthStamp(2001, 10))
-        with pytest.raises(DataError):
-            s.slice(MonthStamp(2002, 1), MonthStamp(2001, 12))
-
-    def test_with_values_keeps_start(self):
-        s = MonthlySeries(MonthStamp(2001, 9), [1.0, 2.0])
-        t = s.with_values([5.0, 6.0])
-        assert t.start == s.start
-        assert_allclose(t.values, [5.0, 6.0])
-        with pytest.raises(DataError):
-            s.with_values([1.0])
 
 
 class TestPearsonCorrelation:
     def test_perfect_positive_and_negative(self):
         x = MonthlySeries(MonthStamp(2001, 9), [1.0, 2.0, 3.0, 4.0])
-        y = x.with_values(2.0 * x.values + 7.0)
+        y = MonthlySeries(x.start, 2.0 * x.values + 7.0)
         assert pearson_correlation(x, y) == pytest.approx(1.0, abs=1e-12)
-        z = x.with_values(-0.5 * x.values)
+        z = MonthlySeries(x.start, -0.5 * x.values)
         assert pearson_correlation(x, z) == pytest.approx(-1.0, abs=1e-12)
 
     def test_matches_numpy(self):
@@ -138,7 +103,7 @@ class TestPearsonCorrelation:
 
     def test_constant_series_is_degenerate(self):
         a = MonthlySeries(MonthStamp(2001, 9), np.arange(5.0))
-        c = a.with_values(np.full(5, 3.0))
+        c = MonthlySeries(a.start, np.full(5, 3.0))
         with pytest.raises(DegeneracyError):
             pearson_correlation(a, c)
 
@@ -146,7 +111,7 @@ class TestPearsonCorrelation:
         # The mean of these 171 equal values is one ulp away from them, so
         # centring leaves a constant series that is not exactly zero.
         a = MonthlySeries(MonthStamp(2001, 9), np.arange(171.0))
-        c = a.with_values(np.full(171, np.log(0.25)))
+        c = MonthlySeries(a.start, np.full(171, np.log(0.25)))
         assert c.values.mean() != c.values[0]
         for pair in ((a, c), (c, a)):
             with pytest.raises(DegeneracyError, match="constant series"):

@@ -17,14 +17,15 @@ form sum_t S_t' M^-1 S_t is summed by fmols_stack's own Gram kernel,
 currsub.coint._cumulated_quad, so the script needs ``currsub``
 importable (``PYTHONPATH=src``).
 
-Each chunk of --chunk reps is drawn whole (``_draws``: every rep's x,
-then every rep's y) and then fitted in row blocks of about
-``_BLOCK_VALUES`` values (16 rows at T = 2000), so a block's arrays stay
-cache-sized. The blocks sit inside the chunk instead of replacing it: the
-chunk size decides how the generator's stream is cut into draws, and so
-the table, while the block size only decides which rows share a BLAS
-call, which can move a draw's last bits (about 1e-13 relative) but not a
-printed quantile.
+The reps are cut into chunks of about ``_CHUNK_VALUES`` values (250 reps
+at T = 2000). Each chunk is drawn whole (``_draws``: every rep's x, then
+every rep's y) and then fitted in row blocks of about ``_BLOCK_VALUES``
+values (16 rows at T = 2000), so a block's arrays stay cache-sized; one
+helper, ``_row_blocks``, cuts both. The blocks sit inside the chunk
+instead of replacing it: the chunk size decides how the generator's
+stream is cut into draws, and so the table, while the block size only
+decides which rows share a BLAS call, which can move a draw's last bits
+(about 1e-13 relative) but not a printed quantile.
 
 Three independent checks guard against transcription drift:
 
@@ -38,13 +39,10 @@ Three independent checks guard against transcription drift:
    currsub.coint.fmols's fits, and the two Lc values must agree to 1e-8.
 
 Usage: python tools/simulate_lc_critical_values.py [--reps 100000]
-           [--t 2000] [--seed 20260815] [--chunk 250]
-       python tools/simulate_lc_critical_values.py --quick [--seed N]
+           [--t 2000] [--seed 20260815]
 
---quick is --reps 2000 --t 300 --chunk 200 and refuses any of those
-three flags. --reps and --chunk must be at least 1, --t at least 30 and
---seed at least 0. A refused argument exits 2 before anything is
-simulated.
+--reps must be at least 1, --t at least 30 and --seed at least 0. A
+refused argument exits 2 before anything is simulated.
 
 Prints each configuration's quantiles, each with a distribution-free 95%
 order-statistic confidence interval, then the dict literal to paste into
@@ -60,9 +58,8 @@ import sys
 import numpy as np
 
 from currsub._ols import dot
-from currsub.coint import _cumulated_quad, fmols_stack
+from currsub.coint import LC_TAIL_PROBS, _cumulated_quad, fmols_stack
 
-TAIL_PROBS = (0.20, 0.15, 0.10, 0.075, 0.05, 0.025, 0.01)
 Z_95 = 1.959964  # two-sided 95% standard normal quantile
 
 CONFIG_TREND_POWERS = {
@@ -96,15 +93,13 @@ def _draws(
     rng: np.random.Generator, reps: int, t_len: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """(x, y) from ``rng``: the (reps, t_len) standard normal increments
-    of x, then y likewise; each row of x is rescaled to unit RMS."""
-    x = np.cumsum(rng.standard_normal((reps, t_len)), axis=1)
-    y = rng.standard_normal((reps, t_len))
-    return x / np.sqrt((x * x).mean(axis=1, keepdims=True)), y
-
-
-def _chunk_sizes(reps: int, chunk: int) -> list[int]:
-    """Sizes of the chunk-sized pieces, the last one short, that sum to reps."""
-    return [min(chunk, reps - done) for done in range(0, reps, chunk)]
+    of x, then y likewise; each row of x is rescaled to unit RMS. x is
+    summed and rescaled in place before y is drawn, so the draws never
+    hold more than x, y and one temporary of their size."""
+    x = rng.standard_normal((reps, t_len))
+    np.cumsum(x, axis=1, out=x)
+    x /= np.sqrt((x * x).mean(axis=1, keepdims=True))
+    return x, rng.standard_normal((reps, t_len))
 
 
 def quantile_ci_ranks(n: int, q: float) -> tuple[int, int]:
@@ -120,23 +115,28 @@ def quantile_ci_ranks(n: int, q: float) -> tuple[int, int]:
     return max(math.floor(n * q - half), 1), min(math.ceil(n * q + half) + 1, n)
 
 
+# Values (rows x T) per chunk of the generator's stream: 250 reps at
+# T = 2000, so a run at the default T cuts the stream as it always has.
+_CHUNK_VALUES = 500_000
+
 # Values (rows x T) per row block of a chunk: 16 rows at T = 2000, 109 at
 # T = 300. A block's largest array, the quadratic-trend scores, is then
 # 0.8 MB, so its working set stays inside a core's 2 MB L2 cache. At
 # 250 reps x T = 2000 on 2 vCPUs, the three configurations take 220 ms as
 # one 250-row block; blocks of 4 rows take 193 ms, of 8 rows 179 ms, of
 # 16 rows 171 ms, of 32 rows 170 ms, of 65 rows 187 ms. The tracemalloc
-# peak of a quadratic-trend chunk is 46.0 MiB as one block, 11.6 MiB at
+# peak of a quadratic-trend chunk is 46.7 MiB as one block, 10.3 MiB at
 # 16 rows (of which the draws are 7.6 MiB), 12.7 MiB at 32 rows and
 # 17.8 MiB at 65 rows.
 _BLOCK_VALUES = 32_768
 
 
-def _row_blocks(reps: int, t_len: int) -> list[slice]:
-    """Consecutive row slices of _BLOCK_VALUES values each, the last one
+def _row_blocks(reps: int, t_len: int, values: int) -> list[slice]:
+    """Consecutive row slices of ``values`` values each, the last one
     short, that cover ``reps`` rows of ``t_len`` values (at least one row
-    per block)."""
-    rows = max(_BLOCK_VALUES // t_len, 1)
+    per slice): the chunks of a run at _CHUNK_VALUES, the row blocks of a
+    chunk at _BLOCK_VALUES."""
+    rows = max(values // t_len, 1)
     return [slice(lo, min(lo + rows, reps)) for lo in range(0, reps, rows)]
 
 
@@ -182,10 +182,7 @@ def simulate_lc_chunk(
     chunk at once. The fits then run over row blocks of about
     _BLOCK_VALUES values (``_row_blocks``), each writing its Lc into the
     chunk's output, so the working set stays cache-sized whatever the
-    chunk. The blocks sit inside the chunk rather than replacing it: the
-    chunk size fixes how the generator's stream is cut into draws, and so
-    the table, while the block size only changes which rows share a BLAS
-    call (the last bits of a draw, about 1e-13 relative).
+    chunk (see the module docstring).
 
     The scores are built time-last, as (rows, k, T - 1), so their running
     sums S_t run in place along contiguous rows, and sum_t S_t' M^-1 S_t
@@ -197,7 +194,7 @@ def simulate_lc_chunk(
     d = _deterministics(t_len, powers)
     x, y = _draws(rng, reps, t_len)
     lc = np.empty(reps)
-    for rows in _row_blocks(reps, t_len):
+    for rows in _row_blocks(reps, t_len, _BLOCK_VALUES):
         lc[rows] = _lc_block(d, x[rows], y[rows])
     return lc
 
@@ -212,7 +209,7 @@ def simulate_mean_case_chunk(
     y = rng.standard_normal((reps, t_len))
     lc = np.empty(reps)
     scalar = np.empty(reps)
-    for rows in _row_blocks(reps, t_len):
+    for rows in _row_blocks(reps, t_len, _BLOCK_VALUES):
         block = y[rows]
         beta = np.linalg.solve(dtd, (block @ d).T).T
         resid = block - beta @ d.T
@@ -223,8 +220,9 @@ def simulate_mean_case_chunk(
     return lc, scalar
 
 
-def run_validation(reps: int, t_len: int, chunk: int, seed: int) -> bool:
-    """Check the machinery against known special-case quantiles."""
+def run_validation(sizes: list[int], t_len: int, seed: int) -> bool:
+    """Check the machinery against known special-case quantiles, drawn in
+    chunks of ``sizes`` reps of ``t_len`` values."""
     print("validation: no-regressor reductions", flush=True)
     ok = True
     known = {
@@ -233,7 +231,6 @@ def run_validation(reps: int, t_len: int, chunk: int, seed: int) -> bool:
         "linear_trend": {0.10: 0.119, 0.05: 0.146, 0.01: 0.216},
     }
     rng = np.random.default_rng(seed)
-    sizes = _chunk_sizes(reps, chunk)
     for config in ("const", "linear_trend"):
         powers = CONFIG_TREND_POWERS[config]
         pieces = [simulate_mean_case_chunk(rng, s, t_len, powers) for s in sizes]
@@ -277,48 +274,33 @@ def run_package_check(seed: int) -> bool:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--reps", type=int, help="default 100000")
-    parser.add_argument("--t", dest="t_len", type=int, help="default 2000")
+    parser.add_argument("--reps", type=int, default=100_000, help="default 100000")
+    parser.add_argument("--t", dest="t_len", type=int, default=2000, help="default 2000")
     parser.add_argument("--seed", type=int, default=20260815)
-    parser.add_argument("--chunk", type=int, help="default 250")
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="tiny run to exercise the code: --reps 2000 --t 300 --chunk 200",
-    )
     args = parser.parse_args(argv)
-    sizes = {"--reps": args.reps, "--t": args.t_len, "--chunk": args.chunk}
-    given = [flag for flag, value in sizes.items() if value is not None]
-    if args.quick and given:
-        parser.error(f"--quick sets its own sizes; drop {', '.join(given)}")
-    defaults = (2000, 300, 200) if args.quick else (100_000, 2000, 250)
-    reps, t_len, chunk = (
-        default if value is None else value
-        for value, default in zip(sizes.values(), defaults)
-    )
+    reps, t_len = args.reps, args.t_len
     # --t floors at the 30 observations that coint.fmols requires.
     for flag, value, floor in (
         ("--reps", reps, 1),
-        ("--chunk", chunk, 1),
         ("--t", t_len, 30),
         ("--seed", args.seed, 0),
     ):
         if value < floor:
             parser.error(f"{flag} must be >= {floor}, got {value}")
+    sizes = [rows.stop - rows.start for rows in _row_blocks(reps, t_len, _CHUNK_VALUES)]
 
     ok = run_package_check(args.seed)
-    ok = run_validation(reps, t_len, chunk, args.seed) and ok
+    ok = run_validation(sizes, t_len, args.seed) and ok
 
     print(f"simulating Lc null: reps={reps} T={t_len}", flush=True)
     table: dict[str, dict[float, float]] = {}
     anchors: dict[str, np.ndarray] = {}
-    sizes = _chunk_sizes(reps, chunk)
     for config, powers in CONFIG_TREND_POWERS.items():
         rng = np.random.default_rng(args.seed + 1 + len(powers))
         sample = np.concatenate([simulate_lc_chunk(rng, s, t_len, powers) for s in sizes])
         anchors[config] = sample
         table[config] = {
-            prob: float(np.quantile(sample, 1.0 - prob)) for prob in TAIL_PROBS
+            prob: float(np.quantile(sample, 1.0 - prob)) for prob in LC_TAIL_PROBS
         }
         ordered = np.sort(sample)
         cells = []
@@ -339,7 +321,7 @@ def main(argv: list[str] | None = None) -> int:
     print("\nLC_CRITICAL_VALUES = {")
     for config, row in table.items():
         print(f"    {config.upper()}: {{")
-        for prob in TAIL_PROBS:
+        for prob in LC_TAIL_PROBS:
             print(f"        {prob}: {row[prob]:.4f},")
         print("    },")
     print("}")
