@@ -33,9 +33,9 @@ __all__ = [
     "dot",
     "matvec",
     "polynomial_trend",
-    "scaled_factor",
     "scaled_qr",
     "solve_ols",
+    "unit_rms",
 ]
 
 
@@ -87,20 +87,19 @@ def check_rows(n: int, k: int) -> None:
         raise DataError(f"need more observations ({n}) than regressors ({k})")
 
 
-def scaled_factor(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """QR of x with unit-RMS columns, ungated: (xs, scale, q, r), xs = q @ r.
+def unit_rms(x: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+    """Divide each column of x (..., n, k) in place by its root-mean-square
+    over ``rows``, and return those scales.
 
-    xs = x / scale, except that a zero column stays zero, so that
-    :func:`design_defect` can name it; a column whose scale overflows
-    becomes zero too, which it refuses as collinear. xs is x itself,
-    divided in place: one copy fewer of a stack of designs; pass a copy
-    to keep x.
+    A zero column stays zero, so that :func:`design_defect` can name it;
+    a column whose scale overflows becomes zero too, which it refuses as
+    collinear.
     """
+    part = x[..., rows, :]
     with np.errstate(over="ignore"):  # an inf scale zeroes its column
-        scale = np.sqrt((x * x).mean(axis=-2))
-    xs = np.divide(x, np.where(scale > 0.0, scale, 1.0)[..., None, :], out=x)
-    q, r = np.linalg.qr(xs)
-    return xs, scale, q, r
+        scale = np.sqrt((part * part).sum(axis=-2) / part.shape[-2])
+    np.divide(x, np.where(scale > 0.0, scale, 1.0)[..., None, :], out=x)
+    return scale
 
 
 def design_defect(scale: np.ndarray, r: np.ndarray) -> str | None:
@@ -118,14 +117,16 @@ def design_defect(scale: np.ndarray, r: np.ndarray) -> str | None:
 def scaled_qr(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """QR of x with unit-RMS columns: (xs, scale, q, r), xs = x / scale = q @ r.
 
-    Raises DegeneracyError for a zero column or collinear columns. Like
-    :func:`scaled_factor`, overwrites x with xs.
+    Raises DegeneracyError for a zero column or collinear columns. xs is
+    x itself, divided in place by :func:`unit_rms`: one copy fewer of a
+    stack of designs; pass a copy to keep x.
     """
-    xs, scale, q, r = scaled_factor(x)
+    scale = unit_rms(x)
+    q, r = np.linalg.qr(x)
     defect = design_defect(scale, r)
     if defect is not None:
         raise DegeneracyError(defect)
-    return xs, scale, q, r
+    return x, scale, q, r
 
 
 def solve_ols(x: np.ndarray, y: np.ndarray) -> OlsFit:

@@ -14,8 +14,8 @@ significant digits, which makes repeated runs byte-identical and report
 files diffable. :func:`render_report` walks the report document once and
 rounds each float as it writes it; its JSON is the text that
 ``json.dumps(indent=2, allow_nan=False)`` gives the rounded document
-(report keys are strings; any other key is refused with ``TypeError``),
-and its CSV has one row per value.
+(report keys are strings; both formats refuse any other key with
+``TypeError``), and its CSV has one row per value.
 """
 
 from __future__ import annotations
@@ -410,9 +410,10 @@ def _quartiles(values: list[float]) -> dict:
 
 
 # Design rows (seeds x n_obs) per Monte Carlo block, 29 seeds at 171
-# months. At 200 seeds x 171 months on 2 vCPUs, one seed at a time takes
-# 198 ms; blocks of 10 seeds take 79 ms and peak 0.2 MB higher, blocks
-# of 29 seeds 60 ms and +1.4 MB, blocks of 58 seeds 54 ms and +3.0 MB.
+# months. At 200 seeds x 171 months on 2 vCPUs (medians of 9 runs, peaks
+# by tracemalloc), one seed at a time takes 591 ms; blocks of 10 seeds
+# take 115 ms and peak 0.4 MB higher, blocks of 29 seeds 82 ms and
+# +1.3 MB, blocks of 58 seeds 86 ms and +2.8 MB.
 _MONTECARLO_BLOCK_ROWS = 5_000
 _REJECTION_KEYS = (
     "lc_reject_at_10pct",
@@ -640,6 +641,14 @@ def _round(value: float) -> float | None:
     return float(_fmt(value)) if math.isfinite(value) else None
 
 
+def _key(key) -> str:
+    """A report key, which must be a string: the JSON and CSV renderers
+    refuse any other key, at any depth, with the same TypeError."""
+    if not isinstance(key, str):
+        raise TypeError(f"keys must be str, not {type(key).__name__}")
+    return key
+
+
 def _json_chunks(obj, indent: str, out: list) -> None:
     """Append the text json.dumps(indent=2) gives ``obj`` at nesting
     ``indent``, each float rounded by :func:`_round` as it is written."""
@@ -655,9 +664,7 @@ def _json_chunks(obj, indent: str, out: list) -> None:
         inner = indent + "  "
         separator = "{\n" + inner
         for key, value in obj.items():
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append(separator + encode_basestring_ascii(key) + ": ")
+            out.append(separator + encode_basestring_ascii(_key(key)) + ": ")
             _json_chunks(value, inner, out)
             separator = ",\n" + inner
         out.append("\n" + indent + "}")
@@ -701,7 +708,7 @@ def _render_report_csv(doc: dict) -> str:
     """Flat key,value rendering; array sections become one row per entry."""
     rows: list[list] = [["section", "key", "value"]]
     for section, payload in doc.items():
-        _csv_rows(section, payload, "", rows)
+        _csv_rows(_key(section), payload, "", rows)
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerows(rows)
     return out.getvalue()
@@ -716,7 +723,7 @@ def _csv_rows(section, payload, prefix: str, rows: list) -> None:
     """
     if isinstance(payload, dict):
         for key, value in payload.items():
-            _csv_rows(section, value, f"{prefix}{key}.", rows)
+            _csv_rows(section, value, f"{prefix}{_key(key)}.", rows)
     elif isinstance(payload, (list, tuple)):
         for idx, value in enumerate(payload):
             _csv_rows(section, value, f"{prefix}{idx}.", rows)

@@ -9,29 +9,38 @@ Bartlett long-run variance of the residuals.
 
 The AIC lag search compares the orders 0..max_lags on one common
 sample, so their designs are nested: with the columns ordered [level,
-deterministics, lags 1..max_lags], candidate k is the first p + k
-columns. One QR of the widest design, X = QR, serves every candidate.
-The first p + k columns of Q span candidate k's design, so its residual
-is the widest residual plus y's components along the dropped columns of
-Q: SSR_k = SSR_widest + sum_{i >= p+k} (Q'y)_i^2, the SSR that fitting
-candidate k alone gives, up to rounding. Only the winning order is fit
-as a regression, on the longer sample it allows. Ng and Perron (2001,
+deterministics, lags 1..max_lags], order k's design is the first
+1 + p + k columns. One R-only QR of the widest design with the lhs as
+its last column, [X | y] = Q [[R, Q'y], [0, c]], serves every order, and
+Q is never formed: the leading columns of Q span order k's design, so
+SSR_k = c^2 + the sum of (Q'y)_i^2 over the lag columns k drops, the SSR
+that fitting order k alone gives, up to rounding. Ng and Perron (2001,
 Econometrica 69:1519) discuss choosing the lag on a common sample.
 
+The winning order is refit on the longer sample it allows, off the same
+R. Its columns of R and Q'y, a unit pivot with a zero right-hand side on
+each dropped column, one row holding its common-sample residual norm and
+the earlier design rows its sample adds make a small least-squares
+problem with the refit's solution and SSR; one more R-only QR of it
+gives the t-ratio. A fixed lag is the search with max_lags = lags, whose
+R is already its fit.
+
 :func:`adf_stack` runs the ADF test on every row of a stack of series
-at once: one QR of the stacked widest designs for the lag search, then
-one stacked refit per group of rows that chose the same order. Each row
-gets the bits :func:`adf_test` gives it alone, which is its one-series
-case, under the contiguity rule of :mod:`currsub._ols`: the regressions'
-left-hand sides are made C-contiguous, and the design columns are
-slices, not indexed copies, of the series. A row that refuses refuses
-the stack with its own error.
+at once: one R-only QR of the stacked widest designs and one of the
+stacked refit problems, whatever orders the rows chose. Each row gets
+the bits :func:`adf_test` gives it alone, which is its one-series case,
+under the contiguity rule of :mod:`currsub._ols`: a row's arrays have
+shapes set by n, the spec and max_lags, never by the other rows, the
+vectors that are reduced or multiplied are C-contiguous, and the design
+columns are slices, not indexed copies, of the series. A row that
+refuses refuses the stack with its own error.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,10 +49,9 @@ from ._ols import (
     check_rows,
     design_defect,
     dot,
-    matvec,
     polynomial_trend,
-    scaled_factor,
     solve_ols,
+    unit_rms,
 )
 from .errors import DataError, DegeneracyError, ParameterError
 from .lrcov import bartlett_long_run_variance, newey_west_bandwidth
@@ -181,77 +189,176 @@ def _report(test: str, kind: str, statistic: float, lags_or_bw: int, nobs: int) 
     )
 
 
-def _df_design(y: np.ndarray, kind: str, lag: int) -> tuple[np.ndarray, np.ndarray]:
-    """(lhs, design) of the Dickey-Fuller regression with ``lag``
-    augmentation terms, on every difference row that ``lag`` allows, for
-    a series or for each row of a stack. The design's columns are
-    [level, trend, lags 1..lag], the order of the lag search and of the
-    refit alike."""
+def _df_rows(y: np.ndarray, kind: str, max_lags: int) -> np.ndarray:
+    """[level, trend, lags 1..max_lags, lhs] of the Dickey-Fuller
+    regression on every difference row, for a series or for each row of
+    a stack: (..., n - 1, 2 + p + max_lags), C-contiguous.
+
+    Rows max_lags.. are the common sample of the lag search, where the
+    trend runs t = 1, 2, ...; on the earlier rows t continues backwards
+    (the level's t-ratio does not depend on the trend's origin), and a
+    lag column is zero where its difference precedes the series.
+    The columns keep one order for the search and the refit.
+    """
     dy = np.diff(y)
     m = dy.shape[-1]
-    trend = polynomial_trend(np.arange(1.0, m - lag + 1.0), _TREND_DEGREE[kind])
+    trend = polynomial_trend(np.arange(1.0 - max_lags, m - max_lags + 1.0), _TREND_DEGREE[kind])
     p = trend.shape[1]
-    x = np.empty((*y.shape[:-1], m - lag, 1 + p + lag))
-    x[..., 0] = y[..., lag:m]
-    x[..., 1 : 1 + p] = trend
-    for j in range(1, lag + 1):
-        x[..., p + j] = dy[..., lag - j : m - j]
-    return np.ascontiguousarray(dy[..., lag:]), x
+    rows = np.zeros((*y.shape[:-1], m, 2 + p + max_lags))
+    rows[..., 0] = y[..., :m]
+    rows[..., 1 : 1 + p] = trend
+    for j in range(1, max_lags + 1):
+        rows[..., j:, p + j] = dy[..., : m - j]
+    rows[..., -1] = dy
+    return rows
 
 
-def _df_regression(y: np.ndarray, kind: str, lag: int) -> tuple[np.ndarray, OlsFit]:
-    """Dickey-Fuller regression with ``lag`` augmentation terms: (lhs, fit)."""
-    lhs, x = _df_design(y, kind, lag)
-    return lhs, solve_ols(x, lhs)
+def _df_regression(y: np.ndarray, kind: str) -> tuple[np.ndarray, OlsFit]:
+    """The unaugmented Dickey-Fuller regression: (lhs, fit)."""
+    rows = _df_rows(y, kind, 0)
+    lhs = rows[..., -1].copy()
+    return lhs, solve_ols(rows[..., :-1], lhs)
 
 
-def _lag_aic(y: np.ndarray, kind: str, max_lags: int) -> np.ndarray:
-    """The AIC of every order 0..``max_lags`` on the common sample that
-    ``max_lags`` allows, from one QR of the widest design, for a series
-    or each row of a stack (the last axis indexes the order).
+class _Search(NamedTuple):
+    """The lag search's factor, for a series or a stack."""
 
-    Refuses as the first failing candidate's own fit would, with the same
-    checks in the same order; the candidates' designs have the refit's
-    column order. A search and a refit of the winning order can therefore
-    differ only because the refit uses the longer sample its lag allows.
+    rows: np.ndarray  # _df_rows, its design columns divided by ``scale``
+    scale: np.ndarray  # the design columns' RMS on the common sample
+    r: np.ndarray  # R of the common sample's [design / scale | lhs], upper triangle
+    max_lags: int  # the widest order; the common sample starts at that row
+
+
+def _lag_search(y: np.ndarray, kind: str, max_lags: int, nested: bool = True) -> _Search:
+    """Factor the widest design of the common sample that ``max_lags``
+    allows, with the lhs as its last column, R only.
+
+    Refuses as the first failing order's own fit would, with the same
+    checks in the same order; a fixed lag (not ``nested``) checks its
+    rows here and its pivots in :func:`_level_t`, as its fit would.
     """
-    lhs, x = _df_design(y, kind, max_lags)
-    nobs, width = x.shape[-2:]
-    base = width - max_lags
-    _, scale, q, r = scaled_factor(x)
-    # A candidate's checks only fail more as columns are added, so if the
-    # widest candidate passes, every one does; otherwise the first
-    # candidate to fail gives the refusal, its checks in solve_ols's order.
-    if nobs <= width or design_defect(scale, r) is not None:
-        for cols in range(base, width + 1):
+    rows = _df_rows(y, kind, max_lags)
+    nobs, width = rows.shape[-2] - max_lags, rows.shape[-1] - 1
+    scale = unit_rms(rows[..., :width], slice(max_lags, None))
+    # Mode "raw" leaves R in the upper triangle, Householder vectors below.
+    r = np.linalg.qr(rows[..., max_lags:, :], mode="raw")[0].swapaxes(-1, -2)
+    # An order's checks only fail more as columns are added, so if the
+    # widest order passes, every one does; otherwise the first order to
+    # fail gives the refusal, its checks in solve_ols's order.
+    if not nested:
+        check_rows(nobs, width)
+    elif nobs <= width or design_defect(scale, r[..., :width, :width]) is not None:
+        for cols in range(width - max_lags, width + 1):
             check_rows(nobs, cols)
             defect = design_defect(scale[..., :cols], r[..., :cols, :cols])
             if defect is not None:
                 raise DegeneracyError(defect)
-    qty = matvec(q.swapaxes(-1, -2), lhs)
-    resid = lhs - matvec(q, qty)
-    # Candidate k leaves the Q'y components of lag columns k+1.. unexplained.
-    lag_parts = (qty * qty)[..., base:]
-    unexplained = np.zeros((*lhs.shape[:-1], max_lags + 1))
-    unexplained[..., :-1] = np.cumsum(lag_parts[..., ::-1], axis=-1)[..., ::-1]
-    ssr = dot(resid, resid)[..., None] + unexplained
-    return nobs * np.log(ssr / nobs) + 2.0 * np.arange(base, width + 1)
+    return _Search(rows, scale, r, max_lags)
 
 
-def _t_on_level(fit: OlsFit, lhs: np.ndarray):
-    """(t-ratio, standard error) on the lagged level, of one fit or of
-    each fit of a stack.
+def _order_ssr(search: _Search) -> np.ndarray:
+    """The SSR of each order 0..max_lags on the common sample (the last
+    axis), read off the search's R: the widest order's SSR is the corner
+    squared, and order k leaves the Q'y components of lag columns k+1..
+    unexplained."""
+    r, max_lags = search.r, search.max_lags
+    width = r.shape[-1] - 1
+    qty = r[..., width - max_lags : width, width]
+    ssr = np.empty((*r.shape[:-2], max_lags + 1))
+    ssr[..., -1] = 0.0
+    ssr[..., :-1] = np.cumsum((qty * qty)[..., ::-1], axis=-1)[..., ::-1]
+    ssr += (r[..., width, width] * r[..., width, width])[..., None]
+    return ssr
 
-    Refuses a fit whose residual sum of squares is rounding noise next
-    to lhs'lhs, on the 1e-12 relative scale of the pivot gate: the
-    statistic of an exact fit is a ratio of rounding errors.
+
+def _aic(search: _Search, ssr: np.ndarray) -> np.ndarray:
+    """The AIC of every order on the common sample (the last axis).
+
+    An SSR below the exact-fit threshold of :func:`_t_ratio` is rounding
+    noise, and R can make it exactly zero: such orders tie at that
+    threshold, so the smallest of them wins.
     """
-    se = fit.standard_errors()[..., 0]
+    rows, max_lags = search.rows, search.max_lags
+    lhs = np.ascontiguousarray(rows[..., max_lags:, -1])
+    nobs = lhs.shape[-1]
+    ssr = np.maximum(ssr, 1e-24 * dot(lhs, lhs)[..., None])
+    base = rows.shape[-1] - 1 - max_lags
+    return nobs * np.log(ssr / nobs) + 2.0 * np.arange(base, base + max_lags + 1)
+
+
+def _lag_aic(y: np.ndarray, kind: str, max_lags: int) -> np.ndarray:
+    """The AIC of every order 0..``max_lags`` on the common sample, for a
+    series or each row of a stack (the last axis indexes the order)."""
+    search = _lag_search(y, kind, max_lags)
+    return _aic(search, _order_ssr(search))
+
+
+def _t_ratio(beta, se, ssr, lhs_ss):
+    """beta / se on the lagged level, of one fit or of each fit of a stack.
+
+    Refuses a zero standard error, and a fit whose SSR is rounding noise
+    next to lhs'lhs (``lhs_ss``), on the 1e-12 relative scale of the
+    pivot gate: the statistic of an exact fit is a ratio of rounding
+    errors.
+    """
     if not (se > 0.0).all():
         raise DegeneracyError("zero standard error on the lagged level")
-    if (fit.ssr <= 1e-24 * dot(lhs, lhs)).any():
+    if (ssr <= 1e-24 * lhs_ss).any():
         raise DegeneracyError("the regression fits the differenced series exactly")
-    return fit.beta[..., 0] / se, se
+    return beta / se
+
+
+def _refit_r(search: _Search, ssr: np.ndarray, lags: np.ndarray) -> np.ndarray:
+    """R of each row's refit of order ``lags`` on the sample that order
+    allows, from the search's R and one more R-only QR of a small stack.
+
+    The search's R holds the common-sample fit of every order. Order L
+    keeps R and Q'y on its 1 + p + L columns; each dropped lag column
+    gets a unit pivot and a zero right-hand side, and one row carries
+    the order's common-sample residual norm. The max_lags design rows
+    before the common sample follow, zeroed before row L. The unit
+    pivots decouple the dropped columns, whose coefficients come out 0.
+    """
+    rows, _, r, max_lags = search
+    width = rows.shape[-1] - 1
+    # Kept columns; the right-hand side, last, sorts as -1 and always stays.
+    cols = np.append(np.arange(width), -1) < (width - max_lags + lags)[..., None]
+    kept = cols[..., :width]
+    upper = np.arange(width)[:, None] <= np.arange(width + 1)
+    early = np.arange(max_lags) >= lags[..., None]
+    f = np.zeros((*lags.shape, width + 1 + max_lags, width + 1))
+    keep = upper & kept[..., :, None] & cols[..., None, :]
+    f[..., :width, :] = np.where(keep, r[..., :width, :], 0.0)
+    diag = np.arange(width)
+    f[..., diag, diag] += ~kept
+    f[..., width, width] = np.sqrt(np.take_along_axis(ssr, lags[..., None], -1)[..., 0])
+    keep = early[..., :, None] & cols[..., None, :]
+    f[..., width + 1 :, :] = np.where(keep, rows[..., :max_lags, :], 0.0)
+    return np.linalg.qr(f, mode="raw")[0].swapaxes(-1, -2)
+
+
+def _level_t(search: _Search, r: np.ndarray, lags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(t-ratio on the level, rows) of each row's fit of order ``lags``
+    whose R (upper triangle) is ``r``, on the sample that order allows.
+
+    The gates run in solve_ols's order, then those of :func:`_t_ratio`.
+    """
+    rows, scale, _, max_lags = search
+    n, width = rows.shape[-2], rows.shape[-1] - 1
+    rr = np.where(np.arange(width)[:, None] <= np.arange(width), r[..., :width, :width], 0.0)
+    defect = design_defect(scale, rr)
+    if defect is not None:
+        raise DegeneracyError(defect)
+    # Row 0 of R^-1 gives the level's coefficient and variance factor in
+    # scaled units; the scale cancels from the t-ratio.
+    r_inv0 = np.linalg.solve(rr, np.eye(width))[..., 0, :]
+    beta = dot(r_inv0, np.ascontiguousarray(r[..., :width, width]))
+    ssr = r[..., width, width] * r[..., width, width]
+    nobs = n - lags
+    # A fit of order L has n - L rows and width - max_lags + L regressors.
+    se = np.sqrt(ssr / (n - width + max_lags - 2 * lags) * dot(r_inv0, r_inv0))
+    lhs = np.where(np.arange(n) >= lags[..., None], rows[..., width], 0.0)
+    return _t_ratio(beta, se, ssr, dot(lhs, lhs)), nobs
 
 
 def adf_stack(
@@ -264,11 +371,18 @@ def adf_stack(
     report per row; :func:`adf_test` is its case of one series, y of
     shape (n,), which gives one report.
 
-    The lag search factors one stacked widest design; the rows are then
-    refit in groups that chose the same order, one stacked regression per
-    group. Every row is computed as it would be alone (see
+    The stack is factored once, R only, by the lag search, and every
+    row's refit is read off that R (see the module docstring): no Q is
+    formed, and rows that chose different orders are not split into
+    groups. Every row is computed as it would be alone (see
     :mod:`currsub._ols`). A refusal of any row refuses the stack, with
     that row's error.
+
+    The refit reads its pivots under the common-sample column scales,
+    where a regression of its own would rescale its columns on its
+    longer sample. That is the one place where rounding can move a
+    verdict: a refit pivot ratio within rounding of the 1e-12
+    collinearity gate.
     """
     _check_kind(spec)
     y = np.asarray(y, dtype=float)
@@ -285,17 +399,22 @@ def adf_stack(
         raise DataError(f"need at least {needed} observations, got {n}")
 
     if lags is None:
+        search = _lag_search(y, spec, max_lags)
+        ssr = _order_ssr(search)
         # The first minimum: ties go to the smaller order.
-        best = np.argmin(_lag_aic(y, spec, max_lags), axis=-1)
+        best = np.argmin(_aic(search, ssr), axis=-1)
+        r = _refit_r(search, ssr, best)
     else:
-        best = np.full(y.shape[:-1], int(lags))
-    reports = np.empty(best.shape, dtype=object)
-    for lag in sorted(set(best.reshape(-1).tolist())):
-        rows = best == lag
-        lhs, fit = _df_regression(y if rows.all() else y[rows], spec, lag)
-        stats = _t_on_level(fit, lhs)[0].reshape(-1)
-        reports[rows] = [_report("ADF", spec, stat, lag, fit.nobs) for stat in stats]
-    return reports.tolist()
+        # Nothing to drop and no rows to append: the refit's R is the search's.
+        search = _lag_search(y, spec, lags, nested=False)
+        best = np.full(y.shape[:-1], lags)
+        r = search.r
+    stats, nobs = _level_t(search, r, best)
+    reports = [
+        _report("ADF", spec, stat, lag, rows)
+        for stat, lag, rows in zip(*(np.ravel(a).tolist() for a in (stats, best, nobs)))
+    ]
+    return reports if y.ndim > 1 else reports[0]
 
 
 def adf_test(
@@ -309,11 +428,11 @@ def adf_test(
     ``lags`` fixes the augmentation order; when None, the order is
     chosen by AIC over 0..``max_lags``, evaluated on the common sample
     that the largest candidate allows, then refit on the full sample the
-    winning order allows. The search factors the widest candidate design
-    once and reads every candidate's SSR off that one QR: the candidates
-    are nested, so dropping trailing columns moves exactly their Q'y
-    components into the residual (see the module docstring). Only the
-    winning order is fit as a regression. This is the one-series case of
+    winning order allows. One R-only QR of the widest candidate design,
+    with the lhs as its last column, gives every candidate's SSR: the
+    candidates are nested, so dropping trailing columns moves exactly
+    their Q'y components into the residual. The refit is read off the
+    same R (see the module docstring). This is the one-series case of
     :func:`adf_stack`.
     """
     return adf_stack(s.values, spec, lags, max_lags)
@@ -334,7 +453,7 @@ def pp_test(
     y = s.values
     if y.size < 25:
         raise DataError(f"need at least 25 observations, got {y.size}")
-    lhs, fit = _df_regression(y, spec, 0)
+    lhs, fit = _df_regression(y, spec)
     nobs = fit.nobs
     if bandwidth is None:
         bandwidth = newey_west_bandwidth(nobs)
@@ -344,7 +463,8 @@ def pp_test(
     # Its bandwidth check refuses a negative value before any degeneracy error.
     lam2 = bartlett_long_run_variance(fit.resid, bandwidth)
 
-    tstat, se_rho = _t_on_level(fit, lhs)
+    se_rho = fit.standard_errors()[0]
+    tstat = _t_ratio(fit.beta[0], se_rho, fit.ssr, dot(lhs, lhs))
     s_hat = math.sqrt(fit.sigma2)
     gamma0 = fit.ssr / nobs
     if not lam2 > 0.0:

@@ -763,6 +763,15 @@ class TestRendererReference:
         for bad_key in (1, False, None, 2.5, np.float64(0.1), (1, 2), math.inf):
             assert _outcome(render_report, {"s": {bad_key: 1}}, "json") is TypeError
 
+    @pytest.mark.parametrize("output_format", ["json", "csv"])
+    @pytest.mark.parametrize("bad_key", [1, None, 2.5, (1, 2)])
+    def test_keys_that_are_not_strings_refused_at_any_depth(self, output_format, bad_key):
+        # Both formats refuse the same documents, with the same message.
+        message = f"^keys must be str, not {type(bad_key).__name__}$"
+        for doc in ({bad_key: 2.0}, {"s": {bad_key: 2.0}}, {"s": [{"k": {bad_key: 2.0}}]}):
+            with pytest.raises(TypeError, match=message):
+                render_report(doc, output_format)
+
     @_PROPERTY_SETTINGS
     @given(
         doc=st.dictionaries(

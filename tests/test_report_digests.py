@@ -1,4 +1,4 @@
-"""The parity-digest tool: five lines, the same on every run of one checkout."""
+"""The parity-digest tool: six lines, the same on every run of one checkout."""
 
 import importlib.util
 import re
@@ -65,3 +65,15 @@ def test_fmols_stack_line_repeats_and_sees_each_run():
     assert int(stacks) == len(runs) * 3 * len(tool.FMOLS_BANDWIDTHS)
     assert tool.fmols_stack_digest(runs[:1]) != first
     assert tool.fmols_stack_digest(((3, 60, 1), runs[1])) != first
+
+
+def test_adf_stack_line_repeats_and_sees_each_run():
+    tool = load_tool()
+    runs = ((3, 60, 0), (4, 60, 3))
+    first = tool.adf_stack_digest(runs)
+    assert tool.adf_stack_digest(runs) == first
+    stacks = re.fullmatch(r"adf stack: (\d+) stacks, sha256:[0-9a-f]{64}", first).group(1)
+    # Per run: two series x two specs x two lag settings.
+    assert int(stacks) == len(runs) * 2 * 2 * len(tool.ADF_LAGS)
+    assert tool.adf_stack_digest(runs[:1]) != first
+    assert tool.adf_stack_digest(((3, 60, 1), runs[1])) != first

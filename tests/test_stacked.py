@@ -100,7 +100,7 @@ class TestStackedEqualsOneRow:
                 assert stack[i].lags_or_bandwidth == one.lags_or_bandwidth
                 assert stack[i].statistic.hex() == one.statistic.hex()
                 assert stack[i].n_obs == one.n_obs
-        # The search meets more than one order, so the refit runs in groups.
+        # The search meets more than one order, and one refit stack serves them all.
         assert len({report.lags_or_bandwidth for report in stack}) == 1
         chosen = {report.lags_or_bandwidth for report in unitroot.adf_stack(rows, spec)}
         assert len(chosen) > 1

@@ -12,6 +12,7 @@ from currsub.unitroot import (
     INTERCEPT,
     TREND_AND_INTERCEPT,
     UnitRootReport,
+    adf_stack,
     adf_test,
     mackinnon_critical_values,
     mackinnon_p_value,
@@ -207,6 +208,69 @@ class TestAdf:
             adf_test(random_walk(6, 100), "none")
 
 
+class TestDegenerateVerdicts:
+    """Degenerate inputs keep their verdicts and their messages."""
+
+    WALK = np.cumsum(np.random.default_rng(5).standard_normal(60))
+
+    @staticmethod
+    def verdict(y, kind, **options):
+        try:
+            rep = adf_test(series(y), kind, **options)
+        except DegeneracyError as exc:
+            return str(exc)
+        return rep.lags_or_bandwidth, rep.n_obs, rep.reject_at["5%"]
+
+    @pytest.mark.parametrize("kind", DETERMINISTIC_KINDS)
+    def test_refusals(self, kind):
+        constant = np.full(60, 3.0)
+        geometric = 0.9 ** np.arange(60.0)
+        # Constant on the common sample of max_lags 12, not before it.
+        flat_common = self.WALK.copy()
+        flat_common[12:] = flat_common[12]
+        for y, options, expected in (
+            (constant, {}, "collinear regressors"),
+            (constant, {"lags": 0}, "collinear regressors"),
+            (constant, {"lags": 2}, "a regressor column is identically zero"),
+            (geometric, {}, "collinear regressors"),
+            (geometric, {"lags": 0}, "the regression fits the differenced series exactly"),
+            (geometric, {"lags": 2}, "collinear regressors"),
+            (flat_common, {}, "collinear regressors"),
+            (flat_common, {"lags": 0}, (0, 59, True)),
+        ):
+            assert self.verdict(y, kind, **options) == expected
+
+    @pytest.mark.parametrize(
+        "kind, statistic",
+        [(INTERCEPT, "-0x1.84e2d0d8a0a39p+1"), (TREND_AND_INTERCEPT, "-0x1.d5d4020e1d797p+1")],
+    )
+    def test_exact_fit_on_the_common_sample_only(self, kind, statistic):
+        # On the common sample the lhs is one nonzero difference, which
+        # every order fits exactly; order 0 wins the tie, and its refit
+        # on 12 more rows is no exact fit.
+        y = self.WALK.copy()
+        y[13:] = y[13]
+        assert self.verdict(y, kind) == (0, 59, True)
+        assert adf_test(series(y), kind).statistic == pytest.approx(
+            float.fromhex(statistic), rel=1e-12
+        )
+
+    @pytest.mark.parametrize("scale", [1e150, 1e-150])
+    @pytest.mark.parametrize("kind", DETERMINISTIC_KINDS)
+    def test_scaled_rows_alone_and_stacked(self, kind, scale):
+        other = np.cumsum(np.random.default_rng(6).standard_normal(60))
+        stack = np.vstack([self.WALK, scale * self.WALK, scale * other])
+        for options, expected in (({}, (0, 59)), ({"lags": 2}, (2, 57))):
+            unscaled = [adf_test(series(y), kind, **options) for y in (self.WALK, self.WALK, other)]
+            assert (unscaled[0].lags_or_bandwidth, unscaled[0].n_obs) == expected
+            lone = adf_test(series(scale * self.WALK), kind, **options)
+            scaled = [lone, *adf_stack(stack, kind, **options)]
+            for ours, ref in zip(scaled, [unscaled[0], *unscaled]):
+                assert (ours.lags_or_bandwidth, ours.n_obs) == (ref.lags_or_bandwidth, ref.n_obs)
+                assert ours.reject_at == ref.reject_at
+                assert ours.statistic == pytest.approx(ref.statistic, rel=1e-12)
+
+
 class TestPp:
     def test_bandwidth_zero_equals_unaugmented_adf(self):
         # With no kernel terms the correction factor is exactly one, so
@@ -338,8 +402,27 @@ def _oracle_pp(y, kind, bandwidth):
     ) * (nobs * se / s)
 
 
+def oracle_stack(seed, n, max_lags):
+    """Four series that choose different orders: white-noise differences
+    (order 0), differences with an AR term at lag ``max_lags`` (that
+    order), AR(2) differences (an order in between) and a stationary
+    AR(1) level; each after a burn-in of 50 draws."""
+    e = np.random.default_rng(seed).standard_normal((4, n + 50))
+    dy = e.copy()
+    for t in range(max_lags, n + 50):
+        dy[1, t] += 0.7 * dy[1, t - max_lags]
+    for t in range(2, n + 50):
+        dy[2, t] += 0.5 * dy[2, t - 1] - 0.6 * dy[2, t - 2]
+    rows = np.cumsum(dy, axis=1)
+    rows[3, 0] = 0.0
+    for t in range(1, n + 50):
+        rows[3, t] = 0.6 * rows[3, t - 1] + e[3, t]
+    return rows[:, 50:]
+
+
 class TestLstsqOracle:
-    """adf_test and pp_test against an independent, unscaled lstsq oracle."""
+    """adf_test, adf_stack and pp_test against an independent, unscaled
+    lstsq oracle."""
 
     def test_adf_aic_lag_sweep(self):
         """AR(1) levels and cumulative sums, n 40..400, max_lags 0..14."""
@@ -376,6 +459,36 @@ class TestLstsqOracle:
                 assert ours.lags_or_bandwidth == lags
                 assert ours.n_obs == nobs
                 assert ours.statistic == pytest.approx(t_stat, abs=1e-8)
+
+    @pytest.mark.parametrize("max_lags", [0, 1, 4, 12])
+    @pytest.mark.parametrize("kind", DETERMINISTIC_KINDS)
+    def test_adf_stack_aic(self, kind, max_lags):
+        """Each row of a stack refits its own order on its own sample: order
+        0 appends every row before the common sample, max_lags none."""
+        chosen = set()
+        for n in (200, 20 + max_lags):
+            for seed in range(3):
+                rows = oracle_stack(seed, n, max_lags)
+                for row, ours in zip(rows, adf_stack(rows, kind, max_lags=max_lags)):
+                    lag, t_stat = _oracle_adf(row, kind, max_lags)
+                    assert (seed, n, ours.lags_or_bandwidth) == (seed, n, lag)
+                    assert ours.n_obs == n - 1 - lag
+                    assert ours.statistic == pytest.approx(t_stat, abs=1e-8)
+                    chosen.add(lag)
+        assert {0, max_lags} <= chosen
+        if max_lags > 1:
+            assert chosen - {0, max_lags}
+
+    @pytest.mark.parametrize("lags", [0, 3])
+    @pytest.mark.parametrize("kind", DETERMINISTIC_KINDS)
+    def test_adf_stack_fixed_lags(self, kind, lags):
+        for n in (200, 20 + lags):
+            for seed in range(3):
+                rows = oracle_stack(seed, n, 4)
+                for row, ours in zip(rows, adf_stack(rows, kind, lags=lags)):
+                    t_stat, nobs = _oracle_fixed_lag(row, kind, lags)
+                    assert (ours.lags_or_bandwidth, ours.n_obs) == (lags, nobs)
+                    assert ours.statistic == pytest.approx(t_stat, abs=1e-8)
 
     @pytest.mark.parametrize("name", sorted(ORACLE_SERIES))
     @pytest.mark.parametrize("kind", DETERMINISTIC_KINDS)

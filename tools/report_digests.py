@@ -1,4 +1,4 @@
-"""Five-line digest of every report and number the pipeline computes on a fixed grid.
+"""Six-line digest of every report and number the pipeline computes on a fixed grid.
 
 Run it once per checkout, importing the package from ``PYTHONPATH``:
 
@@ -55,6 +55,15 @@ configurations at bandwidth None, 0 and 5. Per stack the hash takes
 Gamma0, the degenerate flags, and each row's Lc statistic or None; a
 refused stack adds its message instead.
 
+The sixth line, ``adf stack: <stacks> stacks, sha256:<hex>``, covers the
+stacked ADF rows that the Monte Carlo reads, whose statistics the raw
+line sees only as rejection rates. The stacks are the spread and eps
+draws of the raw line's two runs, each run through
+``unitroot.adf_stack`` under both deterministic specs with ``lags``
+None and 2. Per row the hash takes ``float.hex`` of the statistic, the
+lag and the number of observations; a refused stack adds its message
+instead.
+
 Uses only the standard library and NumPy; takes about 15 s on 2 vCPUs.
 """
 
@@ -66,7 +75,7 @@ import tempfile
 
 import numpy as np
 
-from currsub import coint, pipeline
+from currsub import coint, pipeline, unitroot
 from currsub.errors import CurrsubError
 from currsub.model import DgpNoise, TrendCoefficients, simulate_dgp, simulate_paths
 from currsub.series import MonthStamp
@@ -83,6 +92,7 @@ CONFIGS = (
     pipeline.PipelineConfig(trend_origin=MonthStamp(1990, 1)),
 )
 FMOLS_BANDWIDTHS = (None, 0, 5)
+ADF_LAGS = (None, 2)
 # (n_seeds, n_obs, seed_base) of the raw Monte Carlo runs.
 MONTECARLO_RUNS = ((50, 171, 0), (61, 400, 7919))
 
@@ -290,8 +300,32 @@ def fmols_stack_digest(runs=MONTECARLO_RUNS) -> str:
     return f"fmols stack: {stacks} stacks, sha256:{sha.hexdigest()}"
 
 
+def adf_stack_digest(runs=MONTECARLO_RUNS) -> str:
+    """The stacked ADF line, over the draws of (n_seeds, n_obs, seed_base) runs."""
+    sha = hashlib.sha256()
+    stacks = 0
+    for n_seeds, n_obs, seed_base in runs:
+        seeds = range(seed_base, seed_base + n_seeds)
+        _, spread, eps = simulate_paths(TRUTH, n_obs, NOISE, seeds)
+        for series in (spread, eps):
+            for spec in unitroot.DETERMINISTIC_KINDS:
+                for lags in ADF_LAGS:
+                    stacks += 1
+                    try:
+                        reports = unitroot.adf_stack(series, spec, lags)
+                    except CurrsubError as exc:
+                        sha.update(f"adf_stack refused: {exc}\n".encode())
+                        continue
+                    for rep in reports:
+                        sha.update(
+                            f"{rep.statistic.hex()} {rep.lags_or_bandwidth} {rep.n_obs}\n".encode()
+                        )
+    return f"adf stack: {stacks} stacks, sha256:{sha.hexdigest()}"
+
+
 if __name__ == "__main__":
     print(*report_digest(), sep="\n")
     print(montecarlo_digest())
     print(ingest_digest())
     print(fmols_stack_digest())
+    print(adf_stack_digest())
