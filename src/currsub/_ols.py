@@ -1,9 +1,13 @@
-"""Least squares via scaled QR, and the polynomial trend columns, shared
-by the unit-root and FMOLS code.
+"""The pieces of every least-squares fit in the package, and the
+polynomial trend columns, shared by the unit-root and FMOLS code.
 
-Regressor columns are rescaled to unit root-mean-square before the QR
-factorization: quadratic trend columns otherwise push the moment matrix
-condition number past what double precision can invert reliably.
+Every fit follows one pattern: :func:`unit_rms` rescales the regressor
+columns to unit root-mean-square, one QR factors them, and
+:func:`design_defect` gates its pivots. Quadratic trend columns would
+otherwise push the moment matrix condition number past what double
+precision can invert reliably. The unit-root fits and FM-OLS's second
+stage factor R only; :func:`solve_ols`, FM-OLS's first stage, is the
+one place Q is formed, for that fit's residuals.
 
 Every function here also takes a stack of problems, one per leading
 index, and computes each the way it computes a lone one, bit for bit:
@@ -20,50 +24,19 @@ C-contiguous, and slice rather than index the time axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import DataError, DegeneracyError
 
 __all__ = [
-    "OlsFit",
     "check_rows",
     "design_defect",
     "dot",
     "matvec",
     "polynomial_trend",
-    "scaled_qr",
     "solve_ols",
     "unit_rms",
 ]
-
-
-@dataclass(frozen=True)
-class OlsFit:
-    """Coefficients, residuals and the inverse moment matrix of one fit,
-    or of a stack of fits along the leading axes."""
-
-    beta: np.ndarray = field(repr=False)
-    resid: np.ndarray = field(repr=False)
-    xtx_inv: np.ndarray = field(repr=False)
-    ssr: float | np.ndarray
-    nobs: int
-    nparams: int
-
-    @property
-    def df_resid(self) -> int:
-        return self.nobs - self.nparams
-
-    @property
-    def sigma2(self) -> float | np.ndarray:
-        """Residual variance with degrees-of-freedom correction
-        (:func:`solve_ols` refuses a fit without residual degrees of freedom)."""
-        return self.ssr / self.df_resid
-
-    def standard_errors(self) -> np.ndarray:
-        sigma2 = np.asarray(self.sigma2)[..., None]
-        return np.sqrt(sigma2 * self.xtx_inv.diagonal(0, -2, -1))
 
 
 def polynomial_trend(t: np.ndarray, degree: int) -> np.ndarray:
@@ -114,27 +87,14 @@ def design_defect(scale: np.ndarray, r: np.ndarray) -> str | None:
     return None
 
 
-def scaled_qr(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """QR of x with unit-RMS columns: (xs, scale, q, r), xs = x / scale = q @ r.
-
-    Raises DegeneracyError for a zero column or collinear columns. xs is
-    x itself, divided in place by :func:`unit_rms`: one copy fewer of a
-    stack of designs; pass a copy to keep x.
-    """
-    scale = unit_rms(x)
-    q, r = np.linalg.qr(x)
-    defect = design_defect(scale, r)
-    if defect is not None:
-        raise DegeneracyError(defect)
-    return x, scale, q, r
-
-
-def solve_ols(x: np.ndarray, y: np.ndarray) -> OlsFit:
-    """Least squares of y (n,) on the columns of x (n, k); rejects rank
-    deficiency.
+def solve_ols(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The residuals of the least-squares fit of y (n,) on the columns of
+    x (n, k); rejects rank deficiency.
 
     A stack of C-contiguous designs (S, n, k) and responses (S, n) gives
-    a stack of S fits, refused if any one of them is.
+    a stack of S residual vectors, refused if any one fit is. This is
+    the one fit in the package that forms Q: the others read all they
+    need off an R-only factor.
     """
     x = np.array(x, dtype=float)  # a copy: it is scaled in place
     y = np.asarray(y, dtype=float)
@@ -142,16 +102,10 @@ def solve_ols(x: np.ndarray, y: np.ndarray) -> OlsFit:
         raise DataError(f"incompatible shapes {x.shape} and {y.shape}")
     n, k = x.shape[-2:]
     check_rows(n, k)
-    xs, scale, q, r = scaled_qr(x)
+    scale = unit_rms(x)
+    q, r = np.linalg.qr(x)
+    defect = design_defect(scale, r)
+    if defect is not None:
+        raise DegeneracyError(defect)
     beta_s = np.linalg.solve(r, matvec(q.swapaxes(-1, -2), y)[..., None])[..., 0]
-    r_inv = np.linalg.solve(r, np.eye(k))
-    xtx_inv = (r_inv @ r_inv.swapaxes(-1, -2)) / (scale[..., :, None] * scale[..., None, :])
-    resid = y - matvec(xs, beta_s)
-    return OlsFit(
-        beta=beta_s / scale,
-        resid=resid,
-        xtx_inv=xtx_inv,
-        ssr=dot(resid, resid),
-        nobs=n,
-        nparams=k,
-    )
+    return y - matvec(x, beta_s)

@@ -246,6 +246,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # the arguments ask for more than the machine has
+        print(f"error: not enough memory for these arguments ({exc})", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._ols import dot, matvec, polynomial_trend, scaled_qr, solve_ols
+from ._ols import design_defect, dot, matvec, polynomial_trend, solve_ols, unit_rms
 from .errors import DataError, DegeneracyError, ParameterError
 from .lrcov import LongRunCovariance, long_run_cov
 from .model import TrendCoefficients
@@ -312,16 +312,16 @@ def fmols_stack(
     z[..., -1] = x
 
     # Data large enough to overflow this arithmetic are refused: by
-    # scaled_qr's collinearity gate, the first-stage residual check,
+    # either stage's collinearity gate, the first-stage residual check,
     # long_run_cov's finiteness check, the Lc stage, which refuses the NaN
     # omega112 they leave, or the R^2 check of the sums of squares.
     # NumPy's warnings would only precede the refusal.
     with np.errstate(over="ignore", invalid="ignore"):
-        first = solve_ols(z, y)
-        if not np.isfinite(first.resid).all():
+        resid = solve_ols(z, y)
+        if not np.isfinite(resid).all():
             raise DegeneracyError("FM-OLS first-stage residuals are not finite")
         eta2 = np.diff(x)
-        lrc = long_run_cov(first.resid[..., 1:], eta2, bandwidth=bandwidth)
+        lrc = long_run_cov(resid[..., 1:], eta2, bandwidth=bandwidth)
         w11 = lrc.omega[..., 0, 0]
         w12 = lrc.omega[..., 0, 1]
         w22 = lrc.omega[..., 1, 1]
@@ -337,8 +337,14 @@ def fmols_stack(
         bias[..., -1] = lam12_plus
 
         # Solve in column-scaled coordinates: the quadratic trend makes the
-        # raw moment matrix too ill-conditioned for a direct solve.
-        zt, scale, _, r = scaled_qr(z[..., 1:, :].copy())
+        # raw moment matrix too ill-conditioned for a direct solve. R is
+        # all the solve needs.
+        zt = z[..., 1:, :].copy()
+        scale = unit_rms(zt)
+        r = np.linalg.qr(zt, mode="r")
+        defect = design_defect(scale, r)
+        if defect is not None:
+            raise DegeneracyError(defect)
         bias_t = bias / scale
         rhs = matvec(zt.swapaxes(-1, -2), y_plus) - (n - 1) * bias_t
         theta_t = np.linalg.solve(r, np.linalg.solve(r.swapaxes(-1, -2), rhs[..., None]))

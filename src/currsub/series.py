@@ -40,7 +40,7 @@ def _month_label(index: int) -> str:
 
 @dataclass(frozen=True, order=True)
 class MonthStamp:
-    """A calendar month, totally ordered by (year, month)."""
+    """A calendar month of the years 0..9999, totally ordered by (year, month)."""
 
     year: int
     month: int
@@ -50,6 +50,11 @@ class MonthStamp:
             raise DataError(f"MonthStamp fields must be integers, got {self!r}")
         if not 1 <= self.month <= 12:
             raise DataError(f"month must be in 1..12, got {self.month}")
+        # Only these years have the YYYY-MM spelling that parse reads back.
+        if not 0 <= self.year <= 9999:
+            raise DataError(
+                f"month {self.year}-{self.month:02d} is outside 0000-01..9999-12"
+            )
 
     @property
     def index(self) -> int:

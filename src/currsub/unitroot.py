@@ -23,7 +23,9 @@ each dropped column, one row holding its common-sample residual norm and
 the earlier design rows its sample adds make a small least-squares
 problem with the refit's solution and SSR; one more R-only QR of it
 gives the t-ratio. A fixed lag is the search with max_lags = lags, whose
-R is already its fit.
+R is already its fit. The PP test is that fit at lag 0, its residuals
+(lhs - design beta, with beta from R) and the Bartlett correction: the
+package's one Dickey-Fuller fit serves both tests.
 
 :func:`adf_stack` runs the ADF test on every row of a stack of series
 at once: one R-only QR of the stacked widest designs and one of the
@@ -45,12 +47,12 @@ from typing import NamedTuple
 import numpy as np
 
 from ._ols import (
-    OlsFit,
     check_rows,
     design_defect,
     dot,
+    matvec,
     polynomial_trend,
-    solve_ols,
+    solve_ols,  # perfbench's ols.solve_ols layer reaches unitroot.solve_ols by name
     unit_rms,
 )
 from .errors import DataError, DegeneracyError, ParameterError
@@ -213,13 +215,6 @@ def _df_rows(y: np.ndarray, kind: str, max_lags: int) -> np.ndarray:
     return rows
 
 
-def _df_regression(y: np.ndarray, kind: str) -> tuple[np.ndarray, OlsFit]:
-    """The unaugmented Dickey-Fuller regression: (lhs, fit)."""
-    rows = _df_rows(y, kind, 0)
-    lhs = rows[..., -1].copy()
-    return lhs, solve_ols(rows[..., :-1], lhs)
-
-
 class _Search(NamedTuple):
     """The lag search's factor, for a series or a stack."""
 
@@ -235,7 +230,7 @@ def _lag_search(y: np.ndarray, kind: str, max_lags: int, nested: bool = True) ->
 
     Refuses as the first failing order's own fit would, with the same
     checks in the same order; a fixed lag (not ``nested``) checks its
-    rows here and its pivots in :func:`_level_t`, as its fit would.
+    rows here and its pivots in :func:`_level_fit`, as its fit would.
     """
     rows = _df_rows(y, kind, max_lags)
     nobs, width = rows.shape[-2] - max_lags, rows.shape[-1] - 1
@@ -286,13 +281,6 @@ def _aic(search: _Search, ssr: np.ndarray) -> np.ndarray:
     return nobs * np.log(ssr / nobs) + 2.0 * np.arange(base, base + max_lags + 1)
 
 
-def _lag_aic(y: np.ndarray, kind: str, max_lags: int) -> np.ndarray:
-    """The AIC of every order 0..``max_lags`` on the common sample, for a
-    series or each row of a stack (the last axis indexes the order)."""
-    search = _lag_search(y, kind, max_lags)
-    return _aic(search, _order_ssr(search))
-
-
 def _t_ratio(beta, se, ssr, lhs_ss):
     """beta / se on the lagged level, of one fit or of each fit of a stack.
 
@@ -337,11 +325,13 @@ def _refit_r(search: _Search, ssr: np.ndarray, lags: np.ndarray) -> np.ndarray:
     return np.linalg.qr(f, mode="raw")[0].swapaxes(-1, -2)
 
 
-def _level_t(search: _Search, r: np.ndarray, lags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(t-ratio on the level, rows) of each row's fit of order ``lags``
-    whose R (upper triangle) is ``r``, on the sample that order allows.
+def _level_fit(search: _Search, r: np.ndarray, lags: np.ndarray):
+    """(R^-1, beta, se, SSR, lhs'lhs) of each row's fit of order ``lags``
+    whose R (upper triangle) is ``r``, on the sample that order allows:
+    R^-1 and the level's coefficient and standard error are in the
+    scaled units of ``search.rows``.
 
-    The gates run in solve_ols's order, then those of :func:`_t_ratio`.
+    Runs the pivot gate; the checks of :func:`_t_ratio` are the caller's.
     """
     rows, scale, _, max_lags = search
     n, width = rows.shape[-2], rows.shape[-1] - 1
@@ -349,16 +339,16 @@ def _level_t(search: _Search, r: np.ndarray, lags: np.ndarray) -> tuple[np.ndarr
     defect = design_defect(scale, rr)
     if defect is not None:
         raise DegeneracyError(defect)
-    # Row 0 of R^-1 gives the level's coefficient and variance factor in
-    # scaled units; the scale cancels from the t-ratio.
-    r_inv0 = np.linalg.solve(rr, np.eye(width))[..., 0, :]
+    # Row 0 of R^-1 gives the level's coefficient and variance factor;
+    # the scale cancels from the t-ratio.
+    r_inv = np.linalg.solve(rr, np.eye(width))
+    r_inv0 = r_inv[..., 0, :]
     beta = dot(r_inv0, np.ascontiguousarray(r[..., :width, width]))
     ssr = r[..., width, width] * r[..., width, width]
-    nobs = n - lags
     # A fit of order L has n - L rows and width - max_lags + L regressors.
     se = np.sqrt(ssr / (n - width + max_lags - 2 * lags) * dot(r_inv0, r_inv0))
     lhs = np.where(np.arange(n) >= lags[..., None], rows[..., width], 0.0)
-    return _t_ratio(beta, se, ssr, dot(lhs, lhs)), nobs
+    return r_inv, beta, se, ssr, dot(lhs, lhs)
 
 
 def adf_stack(
@@ -409,7 +399,8 @@ def adf_stack(
         search = _lag_search(y, spec, lags, nested=False)
         best = np.full(y.shape[:-1], lags)
         r = search.r
-    stats, nobs = _level_t(search, r, best)
+    _, *fit = _level_fit(search, r, best)
+    stats, nobs = _t_ratio(*fit), n - 1 - best
     reports = [
         _report("ADF", spec, stat, lag, rows)
         for stat, lag, rows in zip(*(np.ravel(a).tolist() for a in (stats, best, nobs)))
@@ -447,29 +438,43 @@ def pp_test(
 
     The unaugmented Dickey-Fuller t-ratio is corrected nonparametrically
     with a Bartlett long-run variance of the regression residuals;
-    ``bandwidth`` None means the automatic Newey-West lag.
+    ``bandwidth`` None means the automatic Newey-West lag. The
+    regression is the ADF's at a fixed lag 0: one R-only QR of
+    [design | lhs] (see the module docstring) gives the t-ratio, its
+    standard error and the SSR, and the coefficients from that R give
+    the residuals. The refusals run in this order: too few observations,
+    the rows and pivot gates, the bandwidth, then those of the t-ratio
+    and a zero long-run variance.
+
+    The exact-fit check reads the SSR as R's corner squared, not as the
+    sum of the squared residuals: that is the one place where rounding
+    can move a verdict, an SSR within rounding of 1e-24 lhs'lhs.
     """
     _check_kind(spec)
     y = s.values
     if y.size < 25:
         raise DataError(f"need at least 25 observations, got {y.size}")
-    lhs, fit = _df_regression(y, spec)
-    nobs = fit.nobs
+    search = _lag_search(y, spec, 0, nested=False)
+    rows, scale, r, _ = search
+    r_inv, beta, se, ssr, lhs_ss = _level_fit(search, r, np.zeros((), int))
+    nobs, width = rows.shape[0], rows.shape[1] - 1
     if bandwidth is None:
         bandwidth = newey_west_bandwidth(nobs)
     bandwidth = int(bandwidth)
     if bandwidth >= nobs:
         raise DataError(f"bandwidth {bandwidth} too large for {nobs} residuals")
+    beta_s = matvec(r_inv, np.ascontiguousarray(r[:width, width]))
+    resid = rows[:, width] - matvec(rows[:, :width], beta_s)
     # Its bandwidth check refuses a negative value before any degeneracy error.
-    lam2 = bartlett_long_run_variance(fit.resid, bandwidth)
+    lam2 = bartlett_long_run_variance(resid, bandwidth)
 
-    se_rho = fit.standard_errors()[0]
-    tstat = _t_ratio(fit.beta[0], se_rho, fit.ssr, dot(lhs, lhs))
-    s_hat = math.sqrt(fit.sigma2)
-    gamma0 = fit.ssr / nobs
+    tstat = _t_ratio(beta, se, ssr, lhs_ss)
+    # The level's standard error over s, in the units of y.
+    se_over_s = math.sqrt(dot(r_inv[0], r_inv[0])) / scale[0]
+    gamma0 = ssr / nobs
     if not lam2 > 0.0:
         raise DegeneracyError("long-run residual variance is zero")
     z_tau = math.sqrt(gamma0 / lam2) * tstat - 0.5 * (lam2 - gamma0) / math.sqrt(
         lam2
-    ) * (nobs * se_rho / s_hat)
+    ) * (nobs * se_over_s)
     return _report("PP", spec, z_tau, bandwidth, nobs)

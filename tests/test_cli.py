@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from currsub import pipeline
 from currsub.cli import main
 
 # Coefficients used for every simulated fixture dataset.
@@ -103,6 +104,17 @@ class TestSimulate:
         argv = simulate_args(tmp_path / "x.csv", seed=0) + ["--start", "1999-13"]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_months_past_9999_exit_2(self, tmp_path, capsys):
+        # Such a month would be written, then refused by ingest.
+        path = tmp_path / "x.csv"
+        argv = ["simulate", "--n", "40", "--v0", "0", "--v1", "0", "--v2", "0",
+                "--sigma", "0.2", "--start", "9999-06", "--output", str(path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: month 10000-01 is outside 0000-01..9999-12\n"
+        )
+        assert not path.exists()
 
     def test_nonpositive_sigma_exits_2(self, tmp_path, capsys):
         argv = ["simulate", "--n", "171", "--v0", "-0.04", "--v1", "-0.01",
@@ -537,6 +549,15 @@ class TestMontecarlo:
     def test_too_short_sample_exits_2(self, capsys):
         argv = ["montecarlo", "--seeds", "10", "--n", "10", *TABLE_FLAGS]
         assert main(argv) == 2
+
+    def test_out_of_memory_exits_2(self, capsys, monkeypatch):
+        def too_large(config):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(pipeline, "run_montecarlo", too_large)
+        assert one_error_line(self.MC_ARGS, capsys) == (
+            2, "error: not enough memory for these arguments (Unable to allocate 7.28 TiB)\n"
+        )
 
     def test_sample_too_short_for_the_adf_exits_2(self, capsys):
         # FM-OLS accepts 30 months; the first seed's spread ADF refuses them.

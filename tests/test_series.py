@@ -12,8 +12,9 @@ from currsub.series import (
     pearson_correlation,
 )
 
+# Years far enough inside 0..9999 that the shifts below stay in range.
 monthstamps = st.builds(
-    MonthStamp, st.integers(1, 9999), st.integers(1, 12)
+    MonthStamp, st.integers(100, 9900), st.integers(1, 12)
 )
 
 
@@ -36,6 +37,15 @@ class TestMonthStamp:
             MonthStamp(2001, 0)
         with pytest.raises(DataError):
             MonthStamp(2001, 13)
+
+    def test_year_out_of_range(self):
+        # Only the years 0..9999 print as YYYY-MM, which parse reads back.
+        for stamp in (MonthStamp(0, 1), MonthStamp(9999, 12)):
+            assert MonthStamp.parse(str(stamp)) == stamp
+        with pytest.raises(DataError, match=r"^month -1-12 is outside 0000-01\.\.9999-12$"):
+            MonthStamp(0, 1).shift(-1)
+        with pytest.raises(DataError, match=r"^month 10000-01 is outside"):
+            MonthStamp(9999, 12).shift(1)
 
     def test_shift_wraps_years(self):
         assert MonthStamp(2001, 9).shift(4) == MonthStamp(2002, 1)

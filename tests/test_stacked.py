@@ -49,6 +49,12 @@ def adf_rows(n):
     return rows
 
 
+def lag_aic(y, spec):
+    """The AIC of every order 0..12 on the common sample, by the calls ``adf_stack`` makes."""
+    search = unitroot._lag_search(y, spec, 12)
+    return unitroot._aic(search, unitroot._order_ssr(search))
+
+
 class TestStackedEqualsOneRow:
     def test_simulate_paths(self):
         seeds = [3, 0, 17, 7919]
@@ -90,9 +96,9 @@ class TestStackedEqualsOneRow:
     def test_adf(self, spec, n):
         rows = adf_rows(n)
         # The lag search's AIC of every order, which decides near-ties.
-        aic = unitroot._lag_aic(np.asfortranarray(rows), spec, 12)
+        aic = lag_aic(np.asfortranarray(rows), spec)
         for i, row in enumerate(rows):
-            assert hexes(aic[i]) == hexes(unitroot._lag_aic(row, spec, 12))
+            assert hexes(aic[i]) == hexes(lag_aic(row, spec))
         for lags in (None, 2):
             stack = unitroot.adf_stack(np.asfortranarray(rows), spec, lags=lags)
             for i, row in enumerate(rows):

@@ -214,11 +214,13 @@ class TestDegenerateVerdicts:
     WALK = np.cumsum(np.random.default_rng(5).standard_normal(60))
 
     @staticmethod
-    def verdict(y, kind, **options):
+    def verdict(y, kind, test=adf_test, **options):
         try:
-            rep = adf_test(series(y), kind, **options)
+            rep = test(series(y), kind, **options)
         except DegeneracyError as exc:
             return str(exc)
+        except (DataError, ParameterError) as exc:
+            return type(exc).__name__, str(exc)
         return rep.lags_or_bandwidth, rep.n_obs, rep.reject_at["5%"]
 
     @pytest.mark.parametrize("kind", DETERMINISTIC_KINDS)
@@ -269,6 +271,64 @@ class TestDegenerateVerdicts:
                 assert (ours.lags_or_bandwidth, ours.n_obs) == (ref.lags_or_bandwidth, ref.n_obs)
                 assert ours.reject_at == ref.reject_at
                 assert ours.statistic == pytest.approx(ref.statistic, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", DETERMINISTIC_KINDS)
+    def test_pp_refusals_in_order(self, kind):
+        # The pivot gate refuses before the bandwidth checks (too large
+        # before negative), and those before the exact-fit check.
+        t = np.arange(60.0)
+        too_large = ("DataError", "bandwidth 59 too large for 59 residuals")
+        negative = ("ParameterError", "bandwidth must be >= 0, got -1")
+        exact = "the regression fits the differenced series exactly"
+        collinear = "collinear regressors"
+        expected = {
+            INTERCEPT: {
+                "constant": [collinear] * 4,
+                "line": [exact, exact, too_large, negative],
+                "geometric": [exact, exact, too_large, negative],
+                "square": [(3, 59, False), (0, 59, False), too_large, negative],
+                "alternating": [exact, exact, too_large, negative],
+                "walk": [(3, 59, False), (0, 59, False), too_large, negative],
+            },
+            TREND_AND_INTERCEPT: {
+                "constant": [collinear] * 4,
+                "line": [collinear] * 4,
+                "geometric": [exact, exact, too_large, negative],
+                "square": [exact, exact, too_large, negative],
+                "alternating": [exact, exact, too_large, negative],
+                "walk": [(3, 59, False), (0, 59, False), too_large, negative],
+            },
+        }[kind]
+        inputs = {
+            "constant": np.full(60, 3.0),
+            "line": t,
+            "geometric": 0.9**t,
+            "square": t**2,
+            "alternating": (-1.0) ** t,
+            "walk": self.WALK,
+        }
+        for name, y in inputs.items():
+            got = [self.verdict(y, kind, pp_test, bandwidth=bw) for bw in (None, 0, 59, -1)]
+            assert got == expected[name], name
+
+    @pytest.mark.parametrize("kind", DETERMINISTIC_KINDS)
+    def test_pp_scaled_walk(self, kind):
+        unscaled = pp_test(series(self.WALK), kind)
+        for scale in (1e150, 1e-150):
+            scaled = pp_test(series(scale * self.WALK), kind)
+            assert (scaled.lags_or_bandwidth, scaled.n_obs) == (3, 59)
+            assert (scaled.lags_or_bandwidth, scaled.n_obs) == (
+                unscaled.lags_or_bandwidth,
+                unscaled.n_obs,
+            )
+            assert scaled.reject_at == unscaled.reject_at
+            assert scaled.statistic == pytest.approx(unscaled.statistic, rel=1e-12)
+        for scale, message in (
+            (1e200, "collinear regressors"),
+            (1e-300, "a regressor column is identically zero"),
+        ):
+            for bandwidth in (None, -1):
+                assert self.verdict(scale * self.WALK, kind, pp_test, bandwidth=bandwidth) == message
 
 
 class TestPp:
