@@ -373,3 +373,85 @@ class TestFmolsReportType:
         assert type(rep.lc_statistic) is float
         assert type(rep.lc_stable_at_10pct) is bool
         assert all(type(v) is float for v in rep.params.values())
+
+
+def _oracle_fmols(y, x, degree, bandwidth, offset):
+    """Phillips-Hansen FM-OLS and Hansen's Lc of one series, written from
+    the formulas: lstsq and inv for every solve, loops for every sum.
+
+    Returns theta, the standard errors, (Omega, Lambda, Gamma_0) and Lc.
+    Each column is divided by its largest magnitude before any solve; theta
+    and the standard errors undo that, and Lc does not see it (Hansen 1992).
+    """
+    n = y.size
+    t = np.arange(n, dtype=float) + offset
+    z = np.column_stack([t**p for p in range(degree + 1)] + [x])
+    s = np.abs(z).max(axis=0)
+    zs = z / s
+    resid = y - zs @ np.linalg.lstsq(zs, y, rcond=None)[0]
+
+    # The long-run covariance is taken over the n - 1 rows of (u, dx),
+    # demeaned, and every lag's sum is divided by n - 1.
+    m = n - 1
+    e = np.column_stack([resid[1:], np.diff(x)])
+    e -= e.mean(axis=0)
+    b = math.floor(4.0 * (m / 100.0) ** (2.0 / 9.0)) if bandwidth is None else bandwidth
+    gammas = []
+    for j in range(b + 1):
+        g = np.zeros((2, 2))
+        for i in range(j, m):
+            g += np.outer(e[i], e[i - j])
+        gammas.append(g / m)
+    # Lambda includes lag 0: Gamma_0 + sum_j (1 - j/(b+1)) Gamma_j.
+    lam = gammas[0] + sum((1.0 - j / (b + 1.0)) * gammas[j] for j in range(1, b + 1))
+    omega = lam + lam.T - gammas[0]
+
+    w11, w12, w22 = omega[0, 0], omega[0, 1], omega[1, 1]
+    y_plus = y[1:] - w12 / w22 * np.diff(x)
+    lam12_plus = lam[0, 1] - w12 / w22 * lam[1, 1]
+    omega112 = w11 - w12**2 / w22
+
+    # The second stage runs on rows 1..n-1, the rows with an innovation.
+    zt = zs[1:]
+    minv = np.linalg.inv(zt.T @ zt)
+    bias = np.zeros(degree + 2)
+    bias[-1] = lam12_plus / s[-1]
+    # The bias is scaled by n - 1, the second stage's row count.
+    theta_s = np.linalg.lstsq(zt, y_plus, rcond=None)[0] - m * minv @ bias
+    se = np.sqrt(omega112 * np.diag(minv)) / s
+    u_plus = y_plus - zt @ theta_s
+
+    # Lc = sum_t S_t' (Z'Z)^-1 S_t / ((n - 1) omega112), S_t the running
+    # sums of the scores z_t u_t - bias.
+    partial = np.zeros(degree + 2)
+    quad = 0.0
+    for i in range(m):
+        partial += zt[i] * u_plus[i] - bias
+        quad += partial @ minv @ partial
+    return theta_s / s, se, (omega, lam, gammas[0]), quad / (m * omega112)
+
+
+class TestFmolsOracle:
+    """fmols_stack against Phillips & Hansen (1990, RES 57:99), Newey & West
+    (1987, Econometrica 55:703; 1994, RES 61:631) and Hansen (1992, JBES
+    10:321), as written out in _oracle_fmols."""
+
+    @pytest.mark.parametrize("n", [60, 171, 360])
+    @pytest.mark.parametrize("offset", [0, 120])
+    @pytest.mark.parametrize("bandwidth", [0, 1, 4, None])
+    @pytest.mark.parametrize("config", coint.DETERMINISTIC_CONFIGS)
+    def test_stack_matches_oracle(self, config, bandwidth, offset, n):
+        sims = [simulate_dgp(TABLE_COEFFS, n, NOISE, seed) for seed in range(50, 56)]
+        y = np.array([sim.log_money_ratio.values for sim in sims])
+        x = np.array([sim.oc_spread_log.values for sim in sims])
+        fit = coint.fmols_stack(y, x, config, bandwidth, offset)
+        assert not any(fit.degenerate_inference)
+        for i in range(len(sims)):
+            theta, se, lrc, lc = _oracle_fmols(
+                y[i], x[i], coint._TREND_DEGREE[config], bandwidth, offset
+            )
+            np.testing.assert_allclose(fit.theta[i], theta, rtol=1e-9)
+            np.testing.assert_allclose(fit.standard_errors[i], se, rtol=1e-9)
+            for ours, want in zip((fit.lrc.omega, fit.lrc.lam, fit.lrc.gamma0), lrc):
+                np.testing.assert_allclose(ours[i], want, rtol=1e-9)
+            assert fit.lc[i].statistic == pytest.approx(lc, rel=1e-9)
