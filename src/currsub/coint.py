@@ -141,39 +141,35 @@ class HansenLcResult:
     stable_at_10pct: bool
 
 
-def _cumulated_quad(scores: np.ndarray, moment: np.ndarray) -> np.ndarray:
-    """sum_t S_t' M^-1 S_t of each fit, S_t the running sums of time-last
-    ``scores`` (..., k, n), which they overwrite, and M the (..., k, k) or
-    (k, k) ``moment``: sum_ij (M^-1)_ij G_ij with the Gram matrix
-    G = sum_t S_t S_t', one batched k x k product, not n quadratic forms.
-    """
+def _cumulated_quad(scores: np.ndarray) -> np.ndarray:
+    """sum_t ||S_t||^2 of each fit, S_t the running sums of the whitened,
+    time-last ``scores`` (..., k, n), which they overwrite: Hansen's
+    sum_t S_t' (Z'Z)^(-1) S_t in coordinates where Z'Z is the identity."""
     np.cumsum(scores, axis=-1, out=scores)
-    return (np.linalg.inv(moment) * (scores @ scores.swapaxes(-1, -2))).sum(axis=(-2, -1))
+    return (scores * scores).sum(axis=(-2, -1))
 
 
 def _lc_results(
     scores: np.ndarray,
-    moment: np.ndarray,
     omega112: float | np.ndarray,
     skip: bool | np.ndarray,
     deterministics: str,
 ) -> tuple[HansenLcResult | None, ...]:
     """Hansen's Lc of each fit of a stack, None where ``skip`` is set.
 
-    ``scores`` are time-last, (..., k, m), and are overwritten; ``moment``
-    is (..., k, k), and ``omega112`` and ``skip`` have the leading shape.
-    The statistic is sum_t S_t' (Z'Z)^(-1) S_t / (m * omega112), S_t the
-    cumulated scores, each row with the bits of its one-row call. The
-    scores are divided by sqrt(omega112), then by sqrt(m), before
-    :func:`_cumulated_quad` sums them: near the floating-point range the
-    Gram matrix of unscaled scores overflows, and so can m * omega112.
-    Rows are checked in order, and the first refusal raises.
+    ``scores`` are whitened and time-last, (..., k, m), and are overwritten;
+    ``omega112`` and ``skip`` have the leading shape. The statistic is
+    sum_t ||S_t||^2 / (m * omega112) (:func:`_cumulated_quad`), each row
+    with the bits of its one-row call. The scores are divided by
+    sqrt(omega112), then by sqrt(m), before they are squared: near the
+    floating-point range unscaled squares overflow, and so can
+    m * omega112. Rows are checked in order, and the first refusal raises.
     """
     # Skipped rows and rows refused below may divide by zero or overflow.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         scores /= np.sqrt(omega112)[..., None, None]
         scores /= math.sqrt(scores.shape[-1])
-        stats = _cumulated_quad(scores, moment)
+        stats = _cumulated_quad(scores)
     critical = lc_critical_value(deterministics, 0.10)
     out = []
     rows = zip(
@@ -199,29 +195,32 @@ def hansen_lc(
 ) -> HansenLcResult:
     """Lc parameter-instability statistic from fully modified scores.
 
-    ``scores`` are the per-observation estimating-equation terms of the
-    fully modified fit (they sum to zero by construction), ``moment`` is
+    ``scores`` (n, k) are the per-observation estimating-equation terms of
+    the fully modified fit (they sum to zero by construction), ``moment``
     the regressor moment matrix Z'Z over the same rows, and ``omega112``
-    the conditional long-run error variance. The statistic is the
-    normalized trace of cumulated scores,
-    sum_t S_t' (Z'Z)^(-1) S_t / (n * omega112); :func:`fmols_stack`
-    computes it for every row of a stack the same way.
+    the conditional long-run error variance. The statistic is
+    sum_t S_t' (Z'Z)^(-1) S_t / (n * omega112), S_t the cumulated scores,
+    read as sum_t ||L^(-1) S_t||^2, L the Cholesky factor of the symmetric
+    ``moment``'s lower triangle, which must be positive definite;
+    :func:`fmols_stack` whitens with its R instead.
     """
     _check_config(deterministics)
     scores = np.asarray(scores, dtype=float)
     moment = np.asarray(moment, dtype=float)
     if scores.ndim != 2 or moment.shape != (scores.shape[1], scores.shape[1]):
-        raise DataError(
-            f"incompatible shapes {scores.shape} and {moment.shape}"
-        )
+        raise DataError(f"incompatible shapes {scores.shape} and {moment.shape}")
     nobs = scores.shape[0]
     if nobs < 29:
         raise DataError(
             f"need a fit on at least 30 observations to accumulate scores, "
             f"got {nobs} score rows"
         )
-    # A time-last copy, as _lc_results overwrites its scores.
-    return _lc_results(np.array(scores.T, order="C"), moment, omega112, False, deterministics)[0]
+    try:
+        chol = np.linalg.cholesky(moment)
+    except np.linalg.LinAlgError:
+        raise DataError("the moment matrix must be positive definite") from None
+    # Time-last and a new array, as _lc_results overwrites its scores.
+    return _lc_results(np.linalg.solve(chol, scores.T), omega112, False, deterministics)[0]
 
 
 @dataclass(frozen=True)
@@ -333,8 +332,6 @@ def fmols_stack(
         ratio = w12 / w22
         y_plus = y[..., 1:] - ratio[..., None] * eta2
         lam12_plus = lrc.lam[..., 0, 1] - ratio * lrc.lam[..., 1, 1]
-        bias = np.zeros((*y.shape[:-1], k))
-        bias[..., -1] = lam12_plus
 
         # Solve in column-scaled coordinates: the quadratic trend makes the
         # raw moment matrix too ill-conditioned for a direct solve. R is
@@ -345,20 +342,19 @@ def fmols_stack(
         defect = design_defect(scale, r)
         if defect is not None:
             raise DegeneracyError(defect)
-        bias_t = bias / scale
-        rhs = matvec(zt.swapaxes(-1, -2), y_plus) - (n - 1) * bias_t
-        theta_t = np.linalg.solve(r, np.linalg.solve(r.swapaxes(-1, -2), rhs[..., None]))
-        theta_t = theta_t[..., 0]
+        bias = lam12_plus / scale[..., -1]  # the regressor's entry; the others are 0
+        rhs = matvec(zt.swapaxes(-1, -2), y_plus)
+        rhs[..., -1] -= (n - 1) * bias
+        theta_t = np.linalg.solve(r, np.linalg.solve(r.swapaxes(-1, -2), rhs[..., None]))[..., 0]
         theta = theta_t / scale
 
-        omega112 = w11 - w12 * w12 / w22
+        omega112 = w11 - w12 * ratio
         omega112 = np.where(np.isfinite(omega112), omega112, np.nan)
         omega112 = np.where(omega112 < 0.0, 0.0, omega112)
-        var_y = np.var(y, axis=-1)
         resid_full = y - matvec(z, theta)
         centered = y - y.mean(axis=-1, keepdims=True)
-        ssrs = dot(resid_full, resid_full).reshape(-1)
-        tsss = dot(centered, centered).reshape(-1)
+        ssr = dot(resid_full, resid_full)
+        tss = dot(centered, centered)
     # Exact or near-exact fits leave no long-run error variance to divide
     # by; such rows keep their coefficients with inference flagged degenerate.
     # A constant y is one however rounding leaves omega112, as the gate's
@@ -366,27 +362,29 @@ def fmols_stack(
     # can round away from them.
     constant_y = (y == y[..., :1]).all(axis=-1)
     degenerate = constant_y | (
-        omega112 <= 1e-12 * np.where(var_y < 1e-300, 1e-300, var_y)
+        omega112 <= 1e-12 * np.maximum(tss / n, 1e-300)
     )
 
+    # One R^-1 serves the standard errors and Lc: the diagonal of
+    # (Z'Z)^-1 = R^-1 R^-T is the squared row norms of R^-1.
     r_inv = np.linalg.solve(r, np.eye(k))
-    xtx_inv_t = r_inv @ r_inv.swapaxes(-1, -2)
-    se = np.sqrt(omega112[..., None] * xtx_inv_t.diagonal(0, -2, -1)) / scale
+    se = np.sqrt(omega112[..., None] * (r_inv * r_inv).sum(axis=-1)) / scale
     se = np.where(degenerate[..., None], 0.0, se)
     u_plus = y_plus - matvec(zt, theta_t)
-    # The scores z_t u_t - bias, laid out time-last and C-ordered.
+    # The whitened scores R^-T (z_t u_t - bias), time-last and C-ordered: q_t u_t
+    # in the orthonormal q = Z R^-1, less the bias, which the lower-triangular
+    # R^-T keeps on the regressor's entry alone, over R's last pivot.
     scores = np.empty((*y.shape[:-1], k, n - 1))
-    np.multiply(zt.swapaxes(-1, -2), u_plus[..., None, :], out=scores)
-    scores -= bias_t[..., None]
-    moment = zt.swapaxes(-1, -2) @ zt
-    lc = _lc_results(scores, moment, omega112, degenerate, deterministics)
+    np.multiply((zt @ r_inv).swapaxes(-1, -2), u_plus[..., None, :], out=scores)
+    scores[..., -1, :] -= (bias / r[..., -1, -1])[..., None]
+    lc = _lc_results(scores, omega112, degenerate, deterministics)
 
-    if not (np.isfinite(ssrs).all() and np.isfinite(tsss).all()):
+    if not (np.isfinite(ssr).all() and np.isfinite(tss).all()):
         raise DegeneracyError("R^2 undefined: a sum of squares is not finite")
     return FmolsStack(
         theta=theta,
         standard_errors=se,
-        r_squared=tuple(_r_squared(a, b) for a, b in zip(ssrs.tolist(), tsss.tolist())),
+        r_squared=tuple(map(_r_squared, ssr.reshape(-1).tolist(), tss.reshape(-1).tolist())),
         lrc=lrc,
         degenerate_inference=tuple(degenerate.reshape(-1).tolist()),
         lc=lc,

@@ -102,6 +102,8 @@ class MonthlySeries:
         arr = np.array(self.values, dtype=float, copy=True).reshape(-1)
         if arr.size < 1:
             raise DataError("a series needs at least one observation")
+        if self.start.index + arr.size > 10000 * 12:  # past 9999-12: MonthStamp refuses 10000-01
+            self.start.shift(10000 * 12 - self.start.index)
         require_finite(self.start, arr)
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)

@@ -369,6 +369,18 @@ class TestConfigHandling:
         meta = json.loads(capsys.readouterr().out)["config"]
         assert meta["trend_origin"] == "2000-01"
 
+    def test_last_trend_origin_keeps_lc(self, tmp_path, capsys):
+        # The trend origin 9999-12 puts t near -120,000 months.
+        path = str(tmp_path / "flat60.csv")
+        assert main(["simulate", "--n", "60", "--v0", "0", "--v1", "0", "--v2", "0",
+                     "--sigma", "0.2", "--output", path]) == 0
+        capsys.readouterr()
+        lc = []
+        for extra in ([], ["--trend-origin", "9999-12"]):
+            assert main(["estimate", path, *extra]) == 0
+            lc.append(json.loads(capsys.readouterr().out)["fmols"]["lc_statistic"])
+        assert lc[1] == pytest.approx(lc[0], rel=1e-6)
+
     def test_trend_origin_in_config_file(self, dataset, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"trend_origin": "2000-06"}))
@@ -503,17 +515,25 @@ class TestOutOfRangeArithmetic:
         (["--v0", "0", "--v1", "0", "--v2", "0", "--sigma", "1e300"],
          3, "conditional long-run variance must be > 0, got nan"),
         ([*TABLE_FLAGS, "--spread-sd", "1e300"], 3, "collinear regressors"),
-        ([*TABLE_FLAGS, "--spread-sd", "1e100"],
-         3, "conditional long-run variance must be > 0, got nan"),
         (["--v0", "-0.037619", "--v1", "-0.012215", "--v2", "0.000042", "--sigma", "1e154"],
          3, "R^2 undefined: a sum of squares is not finite"),
         (["--v0", "1e308", "--v1", "0", "--v2", "0", "--sigma", "0.2"],
          3, "FM-OLS first-stage residuals are not finite"),
-    ], ids=["trend", "sigma", "spread-scale", "spread-covariance", "r-squared",
-            "first-stage"])
+    ], ids=["trend", "sigma", "spread-scale", "r-squared", "first-stage"])
     def test_montecarlo_overflow_exits_with_one_line(self, capsys, flags, code, message):
         argv = ["montecarlo", "--seeds", "10", "--n", "171", *flags]
         assert one_error_line(argv, capsys) == (code, f"error: {message}\n")
+
+    def test_montecarlo_large_spread_fits(self, capsys):
+        # Long-run covariances near 1e200: omega112 must not square w12.
+        argv = ["montecarlo", "--seeds", "10", "--n", "171", *TABLE_FLAGS,
+                "--spread-sd", "1e100"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        assert json.loads(out)["montecarlo"]["n_seeds"] == 10
 
 
 class TestMontecarlo:

@@ -125,6 +125,10 @@ class TestHansenLc:
         with pytest.raises(DegeneracyError):
             coint.hansen_lc(np.zeros((50, 1)), np.eye(1), 0.0, coint.CONST)
 
+    def test_singular_moment_rejected(self):
+        with pytest.raises(DataError, match="positive definite"):
+            coint.hansen_lc(np.ones((50, 2)), np.ones((2, 2)), 1.0, coint.CONST)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DataError, match="shapes"):
             coint.hansen_lc(np.zeros((50, 2)), np.eye(3), 1.0, coint.CONST)
@@ -255,6 +259,28 @@ class TestFmolsEquivariance:
                     )
                 assert scaled.r_squared == pytest.approx(base.r_squared, abs=1e-8)
                 assert scaled.lc_statistic == pytest.approx(base.lc_statistic, rel=1e-8)
+
+    @pytest.mark.parametrize("c", [1e80, 1e100])
+    def test_joint_scale_keeps_sigma_and_lc(self, c):
+        # Every value near c: w12 * w12 would overflow, w12 * (w12 / w22) does not.
+        sim = simulate_dgp(TABLE_COEFFS, 171, NOISE, 0)
+        y, x = sim.log_money_ratio, sim.oc_spread_log
+        base = coint.fmols(y, x)
+        scaled = coint.fmols(MonthlySeries(y.start, c * y.values),
+                             MonthlySeries(x.start, c * x.values))
+        assert scaled.params["sigma"] == pytest.approx(base.params["sigma"], rel=1e-9)
+        assert scaled.lc_statistic == pytest.approx(base.lc_statistic, rel=1e-9)
+
+    @pytest.mark.parametrize("months, rel", [(1200, 1e-8), (24000, 1e-6)])
+    def test_far_trend_origin_keeps_lc(self, months, rel):
+        # Lc does not depend on the trend origin; a far one only makes the
+        # raw trend columns nearly collinear.
+        for seed in range(20):
+            sim = simulate_dgp(TABLE_COEFFS, 60, NOISE, seed)
+            y, x = sim.log_money_ratio, sim.oc_spread_log
+            base = coint.fmols(y, x)
+            far = coint.fmols(y, x, trend_origin=y.start.shift(-months))
+            assert far.lc_statistic == pytest.approx(base.lc_statistic, rel=rel)
 
     def test_origin_shift_re_expands_polynomial(self):
         sim = simulate_dgp(TABLE_COEFFS, 171, NOISE, 12)

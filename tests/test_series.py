@@ -79,6 +79,12 @@ class TestMonthlySeries:
         with pytest.raises(DataError):
             MonthlySeries(MonthStamp(2001, 9), [])
 
+    def test_months_past_9999_12_refused(self):
+        assert MonthlySeries(MonthStamp(9999, 11), [1.0, 2.0]).labels()[-1] == "9999-12"
+        for n in (3, 40):
+            with pytest.raises(DataError, match=r"^month 10000-01 is outside 0000-01\.\.9999-12$"):
+                MonthlySeries(MonthStamp(9999, 11), np.ones(n))
+
     def test_nonfinite_error_names_the_month(self):
         with pytest.raises(DataError, match="2001-11"):
             MonthlySeries(MonthStamp(2001, 9), [1.0, 2.0, np.nan, 4.0])

@@ -8,14 +8,17 @@ noise around a zero cointegrating vector, x a driftless random walk,
 bandwidth 0 so the kernel corrections vanish asymptotically) at a large
 T and tabulates upper-tail quantiles of Lc.
 
-The batched arithmetic mirrors currsub.coint.fmols at bandwidth 0 but
-solves normal equations (``_fit``, both stages) instead of the package's
-scaled QR: the trend block is shared by every rep, so the (reps, T, k)
-design is never built, and a QR of it costs more time and memory. The
-scores are laid out time-last, (rows, k, T - 1), and Hansen's quadratic
-form sum_t S_t' M^-1 S_t is summed by fmols_stack's own Gram kernel,
-currsub.coint._cumulated_quad, so the script needs ``currsub``
-importable (``PYTHONPATH=src``).
+The batched arithmetic mirrors currsub.coint.fmols_stack at bandwidth 0,
+with currsub._ols's trend columns (polynomial_trend, then unit_rms), so it
+needs ``currsub`` importable (``PYTHONPATH=src``). It keeps its own copies
+of three package routines, whose package forms cost more per 250 x 2000
+chunk of the three configurations (2-vCPU VM): normal equations for both
+FM-OLS stages (``_fit``), which never build the (reps, T, k) design, for
+fmols_stack's scaled QR (2.8-4.4x as long on the same row blocks, best of
+5: 476 vs 163 ms, and 491 vs 111 ms in a second measurement); bandwidth-0
+dot products for currsub.lrcov (27-52% longer); and sum_t S_t' M^-1 S_t as
+an M^-1-weighted Gram of time-last scores (``_gram_quad``) for whitened
+scores (a quadratic-trend chunk's tracemalloc peak 12.1 vs 10.3 MiB).
 
 The reps are cut into chunks of about ``_CHUNK_VALUES`` values (250 reps
 at T = 2000). Each chunk is drawn whole (``_draws``: every rep's x, then
@@ -57,22 +60,25 @@ import sys
 
 import numpy as np
 
-from currsub._ols import dot
-from currsub.coint import LC_TAIL_PROBS, _cumulated_quad, fmols_stack
+from currsub._ols import dot, polynomial_trend, unit_rms
+from currsub.coint import _TREND_DEGREE, LC_TAIL_PROBS, fmols_stack
 
 Z_95 = 1.959964  # two-sided 95% standard normal quantile
 
-CONFIG_TREND_POWERS = {
-    "const": (0,),
-    "linear_trend": (0, 1),
-    "quadratic_trend": (0, 1, 2),
-}
+CONFIG_TREND_POWERS = {config: tuple(range(deg + 1)) for config, deg in _TREND_DEGREE.items()}
 
 
 def _deterministics(t_len: int, powers: tuple[int, ...]) -> np.ndarray:
-    t = np.arange(t_len, dtype=float)
-    d = np.column_stack([t**p for p in powers])
-    return d / np.sqrt((d * d).mean(axis=0))
+    d = polynomial_trend(np.arange(t_len, dtype=float), max(powers))
+    unit_rms(d)
+    return d
+
+
+def _gram_quad(scores: np.ndarray, moment: np.ndarray) -> np.ndarray:
+    """sum_t S_t' M^-1 S_t of each row, S_t the running sums of time-last ``scores``
+    (rows, k, n) that overwrite them: sum_ij (M^-1)_ij G_ij, G = sum_t S_t S_t'."""
+    np.cumsum(scores, axis=-1, out=scores)
+    return (np.linalg.inv(moment) * (scores @ scores.swapaxes(-1, -2))).sum(axis=(-2, -1))
 
 
 def _fit(d: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -165,7 +171,7 @@ def _lc_block(d: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     scores = np.empty((x.shape[0], p + 1, m))
     np.multiply(d1.T[None], u_plus[:, None, :], out=scores[:, :p])
     np.multiply(x1, u_plus, out=scores[:, p])
-    return _cumulated_quad(scores, mom1) / (m * omega112)
+    return _gram_quad(scores, mom1) / (m * omega112)
 
 
 def simulate_lc_chunk(
@@ -178,17 +184,11 @@ def simulate_lc_chunk(
     one, so the serial-correlation bias term is identically zero and only
     the endogeneity correction to y survives.
 
-    The inputs come from ``_draws(rng, reps, t_len)``, drawn for the whole
-    chunk at once. The fits then run over row blocks of about
-    _BLOCK_VALUES values (``_row_blocks``), each writing its Lc into the
-    chunk's output, so the working set stays cache-sized whatever the
-    chunk (see the module docstring).
-
-    The scores are built time-last, as (rows, k, T - 1), so their running
-    sums S_t run in place along contiguous rows, and sum_t S_t' M^-1 S_t
-    is read off the k x k Gram matrix sum_t S_t S_t' (``_cumulated_quad``);
-    it agrees with a T-long loop of quadratic forms to rounding (about
-    1e-13 relative). Standard-normal draws cannot overflow it, so the
+    The chunk is drawn whole by ``_draws(rng, reps, t_len)`` and fitted in
+    ``_row_blocks`` of about _BLOCK_VALUES values (see the module
+    docstring). The scores are time-last, (rows, k, T - 1), for
+    ``_gram_quad``, which agrees with a T-long loop of quadratic forms to
+    about 1e-13 relative; standard-normal draws cannot overflow it, so the
     division by m * omega112 follows the sum.
     """
     d = _deterministics(t_len, powers)
@@ -214,7 +214,7 @@ def simulate_mean_case_chunk(
         beta = np.linalg.solve(dtd, (block @ d).T).T
         resid = block - beta @ d.T
         omega = (resid * resid).mean(axis=1)
-        lc[rows] = _cumulated_quad(d.T[None] * resid[:, None, :], dtd) / (t_len * omega)
+        lc[rows] = _gram_quad(d.T[None] * resid[:, None, :], dtd) / (t_len * omega)
         s = np.cumsum(resid, axis=1)
         scalar[rows] = (s * s).sum(axis=1) / (t_len**2 * omega)
     return lc, scalar
