@@ -70,28 +70,31 @@ def test_chunk_equals_fmols_lc(tool, config):
 
 
 def einsum_lc(tool, rng, reps, t_len, powers):
-    """simulate_lc_chunk's statistic as its definition reads: moments as
-    means of products, scores time-major, and sum_t S_t' M^-1 S_t as one
+    """simulate_lc_chunk's statistic as its definition reads, written apart
+    from the tool, which lends only its draws: both FM-OLS stages fitted
+    rep by rep by np.linalg.lstsq on [unit-RMS trend, x], moments as means
+    of products, scores time-major, and sum_t S_t' M^-1 S_t as one
     three-operand einsum."""
-    d = tool._deterministics(t_len, powers)
-    p = d.shape[1]
+    d = np.vander(np.arange(t_len, dtype=float), max(powers) + 1, increasing=True)
+    d /= np.sqrt((d * d).mean(axis=0))
     x, y = tool._draws(rng, reps, t_len)
-    resid, _ = tool._fit(d, x, y)
-    r1 = resid[:, 1:]
-    dx = np.diff(x, axis=1)
-    r1c = r1 - r1.mean(axis=1, keepdims=True)
-    dxc = dx - dx.mean(axis=1, keepdims=True)
-    g11 = (r1c * r1c).mean(axis=1)
-    g12 = (r1c * dxc).mean(axis=1)
-    g22 = (dxc * dxc).mean(axis=1)
-    y_plus = y[:, 1:] - (g12 / g22)[:, None] * dx
-    u_plus, mom1 = tool._fit(d[1:], x[:, 1:], y_plus)
-    scores = np.empty((reps, t_len - 1, p + 1))
-    scores[:, :, :p] = d[None, 1:, :] * u_plus[:, :, None]
-    scores[:, :, p] = x[:, 1:] * u_plus
-    cum = np.cumsum(scores, axis=1)
-    quad = np.einsum("rti,rij,rtj->r", cum, np.linalg.inv(mom1), cum)
-    return quad / ((t_len - 1) * (g11 - g12 * g12 / g22))
+    lc = np.empty(reps)
+    for r in range(reps):
+        z = np.column_stack([d, x[r]])
+        resid = y[r] - z @ np.linalg.lstsq(z, y[r], rcond=None)[0]
+        r1c = resid[1:] - resid[1:].mean()
+        dx = np.diff(x[r])
+        dxc = dx - dx.mean()
+        g11 = (r1c * r1c).mean()
+        g12 = (r1c * dxc).mean()
+        g22 = (dxc * dxc).mean()
+        z1 = z[1:]
+        y_plus = y[r, 1:] - g12 / g22 * dx
+        u_plus = y_plus - z1 @ np.linalg.lstsq(z1, y_plus, rcond=None)[0]
+        cum = np.cumsum(z1 * u_plus[:, None], axis=0)
+        quad = np.einsum("ti,ij,tj->", cum, np.linalg.inv(z1.T @ z1), cum)
+        lc[r] = quad / ((t_len - 1) * (g11 - g12 * g12 / g22))
+    return lc
 
 
 @pytest.mark.parametrize("config", sorted(CONFIGS))
