@@ -189,7 +189,7 @@ def test_mean_case_vector_equals_scalar_across_row_blocks(tool):
 
 def test_default_chunk_memory_peak(tool):
     # Blocking keeps a 250 x 2000 quadratic-trend chunk near its two draws
-    # (7.6 MiB; 10.3 MiB in all): fitted as one block it peaks at 46.7 MiB,
+    # (7.6 MiB; 10.2 MiB in all): fitted as one block it peaks at 45.9 MiB,
     # and with a temporary for every step of the draws at 11.6 MiB.
     rng = np.random.default_rng(0)
     tracemalloc.start()

@@ -8,17 +8,18 @@ noise around a zero cointegrating vector, x a driftless random walk,
 bandwidth 0 so the kernel corrections vanish asymptotically) at a large
 T and tabulates upper-tail quantiles of Lc.
 
-The batched arithmetic mirrors currsub.coint.fmols_stack at bandwidth 0,
-with currsub._ols's trend columns (polynomial_trend, then unit_rms), so it
-needs ``currsub`` importable (``PYTHONPATH=src``). It keeps its own copies
-of three package routines, whose package forms cost more per 250 x 2000
-chunk of the three configurations (2-vCPU VM): normal equations for both
-FM-OLS stages (``_fit``), which never build the (reps, T, k) design, for
-fmols_stack's scaled QR (2.8-4.4x as long on the same row blocks, best of
-5: 476 vs 163 ms, and 491 vs 111 ms in a second measurement); bandwidth-0
-dot products for currsub.lrcov (27-52% longer); and sum_t S_t' M^-1 S_t as
-an M^-1-weighted Gram of time-last scores (``_gram_quad``) for whitened
-scores (a quadratic-trend chunk's tracemalloc peak 12.1 vs 10.3 MiB).
+The batched arithmetic mirrors currsub.coint.fmols_stack at bandwidth 0
+with currsub._ols's trend columns and sums Lc with the package's form,
+coint._cumulated_quad, so it needs ``currsub`` importable
+(``PYTHONPATH=src``). It keeps two routines of its own, each faster per
+250 x 2000 chunk than the package's (2-vCPU VM): both FM-OLS stages as
+projections off one orthonormal trend basis that every rep shares, then
+off the rep's detrended regressor (Frisch-Waugh-Lovell), for
+fmols_stack's per-row scaled QR (4.5-5.9x as long, best of 5: 136-207 vs
+30-35 ms per configuration); and bandwidth-0 dot products for
+currsub.lrcov (35-56% longer). Lc is invariant to a nonsingular
+reparametrisation of the regressors, so the scores are taken in those
+orthonormal coordinates.
 
 The reps are cut into chunks of about ``_CHUNK_VALUES`` values (250 reps
 at T = 2000). Each chunk is drawn whole (``_draws``: every rep's x, then
@@ -61,38 +62,26 @@ import sys
 import numpy as np
 
 from currsub._ols import dot, polynomial_trend, unit_rms
-from currsub.coint import _TREND_DEGREE, LC_TAIL_PROBS, fmols_stack
+from currsub.coint import _TREND_DEGREE, LC_TAIL_PROBS, _cumulated_quad, fmols_stack
 
 Z_95 = 1.959964  # two-sided 95% standard normal quantile
 
 CONFIG_TREND_POWERS = {config: tuple(range(deg + 1)) for config, deg in _TREND_DEGREE.items()}
 
 
-def _deterministics(t_len: int, powers: tuple[int, ...]) -> np.ndarray:
-    d = polynomial_trend(np.arange(t_len, dtype=float), max(powers))
+def _trend_basis(t_len: int, powers: tuple[int, ...], first: int = 0) -> np.ndarray:
+    """Orthonormal rows (p, t_len - first) spanning the unit-RMS trend
+    columns (``polynomial_trend``, then ``unit_rms``) on times first..t_len - 1."""
+    d = polynomial_trend(np.arange(first, t_len, dtype=float), max(powers))
     unit_rms(d)
-    return d
+    return np.ascontiguousarray(np.linalg.qr(d)[0].T)
 
 
-def _gram_quad(scores: np.ndarray, moment: np.ndarray) -> np.ndarray:
-    """sum_t S_t' M^-1 S_t of each row, S_t the running sums of time-last ``scores``
-    (rows, k, n) that overwrite them: sum_ij (M^-1)_ij G_ij, G = sum_t S_t S_t'."""
-    np.cumsum(scores, axis=-1, out=scores)
-    return (np.linalg.inv(moment) * (scores @ scores.swapaxes(-1, -2))).sum(axis=(-2, -1))
-
-
-def _fit(d: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals and moment matrices of each row of y on [d, that row of x]."""
-    p = d.shape[1]
-    a_dx = x @ d
-    mom = np.empty((x.shape[0], p + 1, p + 1))
-    mom[:, :p, :p] = d.T @ d
-    mom[:, :p, p] = a_dx
-    mom[:, p, :p] = a_dx
-    mom[:, p, p] = (x * x).sum(axis=1)
-    rhs = np.concatenate([y @ d, (x * y).sum(axis=1, keepdims=True)], axis=1)
-    beta = np.linalg.solve(mom, rhs[..., None])[..., 0]
-    return y - beta[:, :p] @ d.T - beta[:, p:] * x, mom
+def _project_off(q: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Each row of v (rows, n), in place, less its projection on the
+    orthonormal rows of q (p, n); returns v."""
+    v -= (v @ q.T) @ q
+    return v
 
 
 def _draws(
@@ -126,14 +115,13 @@ def quantile_ci_ranks(n: int, q: float) -> tuple[int, int]:
 _CHUNK_VALUES = 500_000
 
 # Values (rows x T) per row block of a chunk: 16 rows at T = 2000, 109 at
-# T = 300. A block's largest array, the quadratic-trend scores, is then
-# 0.8 MB, so its working set stays inside a core's 2 MB L2 cache. At
-# 250 reps x T = 2000 on 2 vCPUs, the three configurations take 220 ms as
-# one 250-row block; blocks of 4 rows take 193 ms, of 8 rows 179 ms, of
-# 16 rows 171 ms, of 32 rows 170 ms, of 65 rows 187 ms. The tracemalloc
-# peak of a quadratic-trend chunk is 46.7 MiB as one block, 10.3 MiB at
-# 16 rows (of which the draws are 7.6 MiB), 12.7 MiB at 32 rows and
-# 17.8 MiB at 65 rows.
+# T = 300, so a block's quadratic-trend scores (1 MB) stay near a core's
+# 2 MB L2 cache. At 250 reps x T = 2000 on 2 vCPUs the three
+# configurations take (medians of 14 interleaved rounds) 269 ms as one
+# 250-row block and 182 / 177 / 172 / 182 / 202 ms in blocks of 4 / 8 /
+# 16 / 32 / 65 rows; a quadratic-trend chunk's tracemalloc peak is
+# 45.9 MiB and 8.3 / 9.0 / 10.2 / 12.6 / 17.6 MiB (the draws are 7.6 MiB).
+# 8 rows were not faster than 16 over 62 paired rounds.
 _BLOCK_VALUES = 32_768
 
 
@@ -146,11 +134,14 @@ def _row_blocks(reps: int, t_len: int, values: int) -> list[slice]:
     return [slice(lo, min(lo + rows, reps)) for lo in range(0, reps, rows)]
 
 
-def _lc_block(d: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Lc of each row of (x, y) on deterministics ``d``, bandwidth 0."""
-    p = d.shape[1]
+def _first_stage(q0: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """y+ (rows, T - 1) and omega11.2 of each row at bandwidth 0, from the
+    residual of y on [trend, x]: the detrended y less its regression on the
+    detrended x. Its temporaries die before _lc_block allocates the scores."""
     m = x.shape[1] - 1
-    resid, _ = _fit(d, x, y)
+    x_t = _project_off(q0, x.copy())
+    resid = _project_off(q0, y.copy())
+    resid -= (dot(x_t, resid) / dot(x_t, x_t))[:, None] * x_t
 
     # Bandwidth-0 long-run pieces of (residual, regressor innovation).
     r1 = resid[:, 1:]
@@ -160,18 +151,24 @@ def _lc_block(d: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     g11, g12, g22 = (
         dot(a, b) / m for a, b in ((r1c, r1c), (r1c, dxc), (dxc, dxc))
     )
+    return y[:, 1:] - (g12 / g22)[:, None] * dx, g11 - g12 * g12 / g22
 
-    y_plus = y[:, 1:] - (g12 / g22)[:, None] * dx
-    omega112 = g11 - g12 * g12 / g22
 
-    d1 = d[1:]
-    x1 = x[:, 1:]
-    u_plus, mom1 = _fit(d1, x1, y_plus)
+def _lc_block(q0: np.ndarray, q1: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Lc of each row of (x, y) at bandwidth 0, the trend's orthonormal rows
+    q0 on times 0..T-1 and q1 on 1..T-1: the second stage projects off q1
+    and then off q_x, the unit-norm detrended regressor, and the scores are
+    taken in the coordinates [q1, q_x]."""
+    u_plus, omega112 = _first_stage(q0, x, y)
+    q_x = _project_off(q1, x[:, 1:].copy())
+    q_x /= np.sqrt(dot(q_x, q_x))[:, None]
+    _project_off(q1, u_plus)
+    u_plus -= dot(q_x, u_plus)[:, None] * q_x
 
-    scores = np.empty((x.shape[0], p + 1, m))
-    np.multiply(d1.T[None], u_plus[:, None, :], out=scores[:, :p])
-    np.multiply(x1, u_plus, out=scores[:, p])
-    return _gram_quad(scores, mom1) / (m * omega112)
+    scores = np.empty((x.shape[0], q1.shape[0] + 1, u_plus.shape[1]))
+    np.multiply(q1, u_plus[:, None, :], out=scores[:, :-1])
+    np.multiply(q_x, u_plus, out=scores[:, -1])
+    return _cumulated_quad(scores) / (u_plus.shape[1] * omega112)
 
 
 def simulate_lc_chunk(
@@ -187,15 +184,15 @@ def simulate_lc_chunk(
     The chunk is drawn whole by ``_draws(rng, reps, t_len)`` and fitted in
     ``_row_blocks`` of about _BLOCK_VALUES values (see the module
     docstring). The scores are time-last, (rows, k, T - 1), for
-    ``_gram_quad``, which agrees with a T-long loop of quadratic forms to
-    about 1e-13 relative; standard-normal draws cannot overflow it, so the
-    division by m * omega112 follows the sum.
+    coint._cumulated_quad; standard-normal draws cannot overflow it, so
+    the division by m * omega112 follows the sum.
     """
-    d = _deterministics(t_len, powers)
+    q0 = _trend_basis(t_len, powers)
+    q1 = _trend_basis(t_len, powers, first=1)
     x, y = _draws(rng, reps, t_len)
     lc = np.empty(reps)
     for rows in _row_blocks(reps, t_len, _BLOCK_VALUES):
-        lc[rows] = _lc_block(d, x[rows], y[rows])
+        lc[rows] = _lc_block(q0, q1, x[rows], y[rows])
     return lc
 
 
@@ -204,17 +201,14 @@ def simulate_mean_case_chunk(
 ) -> tuple[np.ndarray, np.ndarray]:
     """No-regressor reduction: (vector Lc, scalar partial-sum statistic),
     drawn for the whole chunk and fitted in ``_row_blocks``."""
-    d = _deterministics(t_len, powers)
-    dtd = d.T @ d
+    q = _trend_basis(t_len, powers)
     y = rng.standard_normal((reps, t_len))
     lc = np.empty(reps)
     scalar = np.empty(reps)
     for rows in _row_blocks(reps, t_len, _BLOCK_VALUES):
-        block = y[rows]
-        beta = np.linalg.solve(dtd, (block @ d).T).T
-        resid = block - beta @ d.T
+        resid = _project_off(q, y[rows])
         omega = (resid * resid).mean(axis=1)
-        lc[rows] = _gram_quad(d.T[None] * resid[:, None, :], dtd) / (t_len * omega)
+        lc[rows] = _cumulated_quad(q * resid[:, None, :]) / (t_len * omega)
         s = np.cumsum(resid, axis=1)
         scalar[rows] = (s * s).sum(axis=1) / (t_len**2 * omega)
     return lc, scalar
