@@ -351,8 +351,14 @@ def fmols_stack(
         omega112 = w11 - w12 * ratio
         omega112 = np.where(np.isfinite(omega112), omega112, np.nan)
         omega112 = np.where(omega112 < 0.0, 0.0, omega112)
-        resid_full = y - matvec(z, theta)
+        # The sums of squares, and omega112 where the gate compares it with
+        # them, are taken times one power of two per row, 2^shift, that
+        # brings the centred y below 1: exact, so no in-range bit moves, and
+        # squares of data near the floating-point range do not overflow.
         centered = y - y.mean(axis=-1, keepdims=True)
+        shift = -np.frexp(np.abs(centered).max(axis=-1))[1]
+        resid_full = np.ldexp(y - matvec(z, theta), shift[..., None])
+        centered = np.ldexp(centered, shift[..., None])
         ssr = dot(resid_full, resid_full)
         tss = dot(centered, centered)
     # Exact or near-exact fits leave no long-run error variance to divide
@@ -362,7 +368,8 @@ def fmols_stack(
     # can round away from them.
     constant_y = (y == y[..., :1]).all(axis=-1)
     degenerate = constant_y | (
-        omega112 <= 1e-12 * np.maximum(tss / n, 1e-300)
+        np.ldexp(omega112, 2 * shift)
+        <= 1e-12 * np.maximum(tss / n, np.ldexp(1e-300, 2 * shift))
     )
 
     # One R^-1 serves the standard errors and Lc: the diagonal of

@@ -233,9 +233,9 @@ class TestFmolsAgainstFirstStage:
 class TestFmolsEquivariance:
     def test_scale_equivariance(self):
         # (seed, n, factor, configurations). At 1e154, y * y nears the
-        # largest double: Lc's Gram matrix overflows unless the scores are
-        # scaled first. Seed 11 at 60 months is left out: its sums of
-        # squares overflow, which correctly refuses the R^2.
+        # largest double: Lc's cumulated scores overflow unless they are
+        # scaled first, and the sums of squares behind R^2 (seed 11 at 60
+        # months) unless they are taken at a power-of-two scale.
         cases = [
             (11, 171, 2.5, [coint.QUADRATIC_TREND]),
             (0, 60, 1e154, coint.DETERMINISTIC_CONFIGS),
@@ -270,6 +270,28 @@ class TestFmolsEquivariance:
                              MonthlySeries(x.start, c * x.values))
         assert scaled.params["sigma"] == pytest.approx(base.params["sigma"], rel=1e-9)
         assert scaled.lc_statistic == pytest.approx(base.lc_statistic, rel=1e-9)
+
+    def test_exact_fit_with_overflowing_squares_is_degenerate(self):
+        # y = 1e150 t^2 lies in the trend's span, and its squares overflow:
+        # R^2 and the gate read sums of squares taken at a power-of-two scale.
+        x = simulate_dgp(TABLE_COEFFS, 171, NOISE, 0).oc_spread_log.values
+        t = np.arange(171.0)
+        fit = coint.fmols_stack(1e150 * t**2, 1e150 * x, coint.QUADRATIC_TREND)
+        assert fit.r_squared == (1.0,)
+        assert fit.degenerate_inference == (True,)
+        assert fit.lc == (None,)
+
+    def test_overflowing_squares_keep_r_squared_sigma_and_lc(self):
+        sim = simulate_dgp(TABLE_COEFFS, 171, NOISE, 0)
+        y, x = np.arange(171.0) ** 2 + 100 * sim.log_money_ratio.values, sim.oc_spread_log.values
+        base = coint.fmols_stack(y, x, coint.QUADRATIC_TREND)
+        scaled = coint.fmols_stack(1e150 * y, x, coint.QUADRATIC_TREND)
+        assert scaled.r_squared[0] == pytest.approx(base.r_squared[0], rel=1e-9)
+        assert scaled.theta[-1] == pytest.approx(1e150 * base.theta[-1], rel=1e-9)
+        assert scaled.standard_errors[-1] == pytest.approx(
+            1e150 * base.standard_errors[-1], rel=1e-9
+        )
+        assert scaled.lc[0].statistic == pytest.approx(base.lc[0].statistic, rel=1e-9)
 
     @pytest.mark.parametrize("months, rel", [(1200, 1e-8), (24000, 1e-6)])
     def test_far_trend_origin_keeps_lc(self, months, rel):
