@@ -26,14 +26,11 @@ from .series import (
     pearson_correlation,
 )
 from .model import (
-    AgentState,
     DgpNoise,
     ModelParams,
     SimulatedDgp,
     TrendCoefficients,
     annual_to_monthly_cost,
-    budget_gap,
-    ces_liquidity,
     delta_at,
     delta_ratio_at,
     foc_euro_gap,
@@ -41,7 +38,6 @@ from .model import (
     opportunity_cost,
     relative_demand_log,
     simulate_dgp,
-    utility,
 )
 from .lrcov import LongRunCovariance, long_run_cov, newey_west_bandwidth
 from .unitroot import UnitRootReport, adf_test, pp_test
@@ -50,7 +46,6 @@ from .coint import FmolsReport, HansenLcResult, fmols, hansen_lc
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgentState",
     "CurrsubError",
     "DataError",
     "DegeneracyError",
@@ -70,8 +65,6 @@ __all__ = [
     "ValidationError",
     "adf_test",
     "annual_to_monthly_cost",
-    "budget_gap",
-    "ces_liquidity",
     "delta_at",
     "delta_ratio_at",
     "fmols",
@@ -85,5 +78,4 @@ __all__ = [
     "pp_test",
     "relative_demand_log",
     "simulate_dgp",
-    "utility",
 ]

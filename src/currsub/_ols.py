@@ -70,7 +70,7 @@ def unit_rms(x: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
     """
     part = x[..., rows, :]
     with np.errstate(over="ignore"):  # an inf scale zeroes its column
-        scale = np.sqrt((part * part).sum(axis=-2) / part.shape[-2])
+        scale = np.sqrt(np.einsum("...nk,...nk->...k", part, part) / part.shape[-2])
     np.divide(x, np.where(scale > 0.0, scale, 1.0)[..., None, :], out=x)
     return scale
 

@@ -11,9 +11,10 @@ cointegration, so small values are good news for the model.
 
 :func:`fmols_stack` fits every row of a stack of series at once: both
 least-squares stages, the Bartlett sums, the checks and the Lc
-statistic run on the whole stack. Each row gets the bits :func:`fmols`
-gives it alone, which is its one-series case, under the contiguity rule
-of :mod:`currsub._ols` (the stack is made C-contiguous on entry). A row
+statistic run on the whole stack, which returns arrays only. Each row
+gets the bits :func:`fmols` gives it alone, which is its one-series
+case and builds the records, under the contiguity rule of
+:mod:`currsub._ols` (the stack is made C-contiguous on entry). A row
 that refuses refuses the stack with its own error.
 """
 
@@ -117,11 +118,15 @@ def lc_critical_value(deterministics: str, tail_prob: float) -> float:
     return table[tail_prob]
 
 
+def _check_lc(statistic: float) -> None:
+    if not statistic >= 0.0:
+        raise ParameterError(f"Lc statistic must be >= 0, got {statistic}")
+
+
 def lc_p_value_range(statistic: float, deterministics: str) -> tuple[float, float]:
     """Bracket the Lc p-value between adjacent tabulated tail probabilities."""
     _check_config(deterministics)
-    if not statistic >= 0.0:
-        raise ParameterError(f"Lc statistic must be >= 0, got {statistic}")
+    _check_lc(statistic)
     table = LC_CRITICAL_VALUES[deterministics]
     # Tail probabilities descend while critical values ascend.
     below = 1.0
@@ -149,13 +154,10 @@ def _cumulated_quad(scores: np.ndarray) -> np.ndarray:
     return (scores * scores).sum(axis=(-2, -1))
 
 
-def _lc_results(
-    scores: np.ndarray,
-    omega112: float | np.ndarray,
-    skip: bool | np.ndarray,
-    deterministics: str,
-) -> tuple[HansenLcResult | None, ...]:
-    """Hansen's Lc of each fit of a stack, None where ``skip`` is set.
+def _lc_statistics(
+    scores: np.ndarray, omega112: float | np.ndarray, skip: bool | np.ndarray
+) -> np.ndarray:
+    """Hansen's Lc of each fit of a stack, NaN where ``skip`` is set.
 
     ``scores`` are whitened and time-last, (..., k, m), and are overwritten;
     ``omega112`` and ``skip`` have the leading shape. The statistic is
@@ -163,28 +165,31 @@ def _lc_results(
     with the bits of its one-row call. The scores are divided by
     sqrt(omega112), then by sqrt(m), before they are squared: near the
     floating-point range unscaled squares overflow, and so can
-    m * omega112. Rows are checked in order, and the first refusal raises.
+    m * omega112. Rows are checked in order, and the first refusal raises:
+    an omega112 that is not > 0, or a statistic that is not >= 0.
     """
     # Skipped rows and rows refused below may divide by zero or overflow.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         scores /= np.sqrt(omega112)[..., None, None]
         scores /= math.sqrt(scores.shape[-1])
         stats = _cumulated_quad(scores)
-    critical = lc_critical_value(deterministics, 0.10)
-    out = []
-    rows = zip(
-        np.reshape(skip, -1).tolist(),
-        np.reshape(stats, -1).tolist(),
-        np.reshape(omega112, -1).tolist(),
-    )
-    for row_skip, stat, w in rows:
-        if row_skip:
-            out.append(None)
-            continue
+        refused = ~np.asarray(skip) & ~((omega112 > 0.0) & (stats >= 0.0))
+    if refused.any():
+        first = np.flatnonzero(refused)[0]
+        w = np.reshape(omega112, -1)[first].item()
         if not w > 0.0:
             raise DegeneracyError(f"conditional long-run variance must be > 0, got {w}")
-        out.append(HansenLcResult(stat, lc_p_value_range(stat, deterministics), stat < critical))
-    return tuple(out)
+        _check_lc(np.reshape(stats, -1)[first].item())
+    return np.where(skip, np.nan, stats)
+
+
+def _lc_result(statistic: float, deterministics: str) -> HansenLcResult:
+    """The record of one Lc statistic under ``deterministics``."""
+    return HansenLcResult(
+        statistic,
+        lc_p_value_range(statistic, deterministics),
+        statistic < lc_critical_value(deterministics, 0.10),
+    )
 
 
 def hansen_lc(
@@ -219,8 +224,9 @@ def hansen_lc(
         chol = np.linalg.cholesky(moment)
     except np.linalg.LinAlgError:
         raise DataError("the moment matrix must be positive definite") from None
-    # Time-last and a new array, as _lc_results overwrites its scores.
-    return _lc_results(np.linalg.solve(chol, scores.T), omega112, False, deterministics)[0]
+    # Time-last and a new array, as _lc_statistics overwrites its scores.
+    stat = _lc_statistics(np.linalg.solve(chol, scores.T), omega112, False)
+    return _lc_result(float(stat), deterministics)
 
 
 @dataclass(frozen=True)
@@ -258,27 +264,23 @@ class FmolsReport:
 
 @dataclass(frozen=True)
 class FmolsStack:
-    """Fully modified fits of a stack of S aligned series, row by row.
+    """Fully modified fits of a stack of S aligned series, row by row,
+    as arrays.
 
     ``theta`` and ``standard_errors`` are (S, k) in the coefficient order
     v0.., sigma (standard errors zero where inference is degenerate) and
-    ``lrc`` holds the S long-run covariances; a fit of one series has no
-    leading axis. The tuples hold one entry per series: ``lc`` the Lc
-    result, None where inference is degenerate.
+    ``lrc`` holds the S long-run covariances. ``r_squared``,
+    ``degenerate_inference`` (bool) and ``lc``, the Lc statistic, NaN
+    where inference is degenerate, are (S,). A fit of one series has no
+    leading axis. :func:`fmols` builds the records of its one row.
     """
 
     theta: np.ndarray = field(repr=False)
     standard_errors: np.ndarray = field(repr=False)
-    r_squared: tuple[float, ...]
+    r_squared: np.ndarray
     lrc: LongRunCovariance = field(repr=False)
-    degenerate_inference: tuple[bool, ...]
-    lc: tuple[HansenLcResult | None, ...]
-
-
-def _r_squared(ssr: float, tss: float) -> float:
-    if tss > 0.0:
-        return min(max(1.0 - ssr / tss, 0.0), 1.0)
-    return 1.0 if ssr <= 1e-300 else 0.0
+    degenerate_inference: np.ndarray
+    lc: np.ndarray
 
 
 def fmols_stack(
@@ -384,18 +386,15 @@ def fmols_stack(
     scores = np.empty((*y.shape[:-1], k, n - 1))
     np.multiply((zt @ r_inv).swapaxes(-1, -2), u_plus[..., None, :], out=scores)
     scores[..., -1, :] -= (bias / r[..., -1, -1])[..., None]
-    lc = _lc_results(scores, omega112, degenerate, deterministics)
+    lc = _lc_statistics(scores, omega112, degenerate)
 
     if not (np.isfinite(ssr).all() and np.isfinite(tss).all()):
         raise DegeneracyError("R^2 undefined: a sum of squares is not finite")
-    return FmolsStack(
-        theta=theta,
-        standard_errors=se,
-        r_squared=tuple(map(_r_squared, ssr.reshape(-1).tolist(), tss.reshape(-1).tolist())),
-        lrc=lrc,
-        degenerate_inference=tuple(degenerate.reshape(-1).tolist()),
-        lc=lc,
-    )
+    with np.errstate(divide="ignore", invalid="ignore"):  # tss = 0 takes the other branch
+        r_squared = np.where(
+            tss > 0.0, np.clip(1.0 - ssr / tss, 0.0, 1.0), np.where(ssr <= 1e-300, 1.0, 0.0)
+        )
+    return FmolsStack(theta, se, r_squared, lrc, degenerate, lc)
 
 
 def fmols(
@@ -421,8 +420,9 @@ def fmols(
     names = _param_names(deterministics)
     params = dict(zip(names, fit.theta.tolist()))
     ses = dict(zip(names, fit.standard_errors.tolist()))
-    lc = fit.lc[0]
-    if fit.degenerate_inference[0]:
+    degenerate = bool(fit.degenerate_inference)
+    lc = None if degenerate else _lc_result(float(fit.lc), deterministics)
+    if degenerate:
         tstats = dict.fromkeys(names, math.nan)
     else:
         tstats = {name: params[name] / ses[name] for name in names}
@@ -431,10 +431,10 @@ def fmols(
         params=params,
         standard_errors=ses,
         t_statistics=tstats,
-        r_squared=fit.r_squared[0],
+        r_squared=float(fit.r_squared),
         lrc=fit.lrc,
         n_obs=len(y),
-        degenerate_inference=fit.degenerate_inference[0],
+        degenerate_inference=degenerate,
         lc_statistic=None if lc is None else lc.statistic,
         lc_p_value_range=None if lc is None else lc.p_value_range,
         lc_stable_at_10pct=None if lc is None else lc.stable_at_10pct,

@@ -10,6 +10,11 @@ turns that equation into a cointegrating regression of the log money
 ratio on a quadratic time trend and the opportunity-cost spread; this
 module also ships the matching synthetic-data generator.
 
+The module holds what the pipeline and its checks read: the FOC
+residuals, the demand equation, the share path and the generator. The
+utility they are derived from is not computed here; the tests keep it
+as the reference the FOCs are checked against.
+
 Every function is pure. All rates are monthly decimal fractions unless a
 name says otherwise.
 """
@@ -27,19 +32,15 @@ from .series import MonthStamp, MonthlySeries, require_finite
 __all__ = [
     "ModelParams",
     "TrendCoefficients",
-    "AgentState",
     "DgpNoise",
     "SimulatedDgp",
     "annual_to_monthly_cost",
     "opportunity_cost",
-    "ces_liquidity",
-    "utility",
     "foc_money_gap",
     "foc_euro_gap",
     "relative_demand_log",
     "delta_ratio_at",
     "delta_at",
-    "budget_gap",
     "simulate_dgp",
     "simulate_paths",
 ]
@@ -57,30 +58,21 @@ class ModelParams:
     """Structural preference parameters.
 
     ``sigma`` is the elasticity of substitution between the two
-    currencies (0 <= sigma < inf), ``theta`` the liquidity weight in
-    utility (0 < theta < 1), ``phi_monthly`` the proportional monthly
-    money-holding cost, and ``beta`` the subjective discount factor.
-    ``beta`` is carried for completeness; no operation here discounts.
+    currencies (0 <= sigma < inf) and ``theta`` the liquidity weight in
+    utility (0 < theta < 1). The holding cost enters through the
+    opportunity costs the FOCs take.
     """
 
     sigma: float
     theta: float
-    phi_monthly: float
-    beta: float
 
     def __post_init__(self) -> None:
-        for name in ("sigma", "theta", "phi_monthly", "beta"):
+        for name in ("sigma", "theta"):
             _require_finite(name, getattr(self, name))
         if not 0.0 < self.theta < 1.0:
             raise ParameterError(f"theta must be in (0, 1), got {self.theta}")
         if self.sigma < 0.0:
             raise ParameterError(f"sigma must be >= 0, got {self.sigma}")
-        if not 0.0 < self.beta < 1.0:
-            raise ParameterError(f"beta must be in (0, 1), got {self.beta}")
-        if not 0.0 <= self.phi_monthly < 1.0:
-            raise ParameterError(
-                f"phi_monthly must be in [0, 1), got {self.phi_monthly}"
-            )
 
     @property
     def gamma(self) -> float:
@@ -117,33 +109,6 @@ class TrendCoefficients:
     def trend_at(self, t: float) -> float:
         """The polynomial v0 + v1*t + v2*t^2."""
         return self.v0 + (self.v1 + self.v2 * t) * t
-
-
-@dataclass(frozen=True)
-class AgentState:
-    """One month of the agent's accounts, all valued in lei.
-
-    ``ms_lei`` and ``bs_lei`` are the euro positions converted at the
-    month's own exchange rate. Money stocks may be zero here; only the
-    CES and FOC operations, which take raw balances, demand strict
-    positivity.
-    """
-
-    x: float
-    m: float
-    ms_lei: float
-    b: float
-    bs_lei: float
-    p: float
-    z: float
-
-    def __post_init__(self) -> None:
-        for name in ("x", "m", "ms_lei", "b", "bs_lei", "p", "z"):
-            _require_finite(name, getattr(self, name))
-        if self.p <= 0.0:
-            raise ParameterError(f"price index must be > 0, got {self.p}")
-        if self.m < 0.0 or self.ms_lei < 0.0:
-            raise ParameterError("money stocks cannot be negative")
 
 
 def annual_to_monthly_cost(phi_annual: float) -> float:
@@ -187,38 +152,6 @@ def _check_ces_domain(m_real: float, ms_real: float, delta: float, sigma: float)
         raise ParameterError(f"delta must be in (0, 1), got {delta}")
     if sigma <= 0.0:
         raise ParameterError(f"sigma must be > 0, got {sigma}")
-
-
-def ces_liquidity(m_real: float, ms_real: float, delta: float, sigma: float) -> float:
-    """Liquidity services from the two real balances.
-
-    CES form {delta*m^g + (1-delta)*ms^g}^(1/g) with g = (sigma-1)/sigma.
-    At sigma = 1 the exponent degenerates and the Cobb-Douglas limit
-    m^delta * ms^(1-delta) applies exactly.
-    """
-    m_real, ms_real = float(m_real), float(ms_real)
-    delta, sigma = float(delta), float(sigma)
-    _check_ces_domain(m_real, ms_real, delta, sigma)
-    if sigma == 1.0:
-        return m_real**delta * ms_real ** (1.0 - delta)
-    g = _gamma(sigma)
-    # Work in logs so extreme exponents (sigma near 0) cannot overflow.
-    u1 = g * math.log(m_real)
-    u2 = g * math.log(ms_real)
-    top = max(u1, u2)
-    inner = delta * math.exp(u1 - top) + (1.0 - delta) * math.exp(u2 - top)
-    return math.exp((top + math.log(inner)) / g)
-
-
-def utility(
-    x_real: float, m_real: float, ms_real: float, delta: float, params: ModelParams
-) -> float:
-    """Period utility x^(1-theta) * L^theta with L the CES liquidity."""
-    x_real = float(x_real)
-    if x_real <= 0.0:
-        raise ParameterError(f"consumption must be > 0, got {x_real}")
-    liq = ces_liquidity(m_real, ms_real, delta, params.sigma)
-    return x_real ** (1.0 - params.theta) * liq**params.theta
 
 
 def _ces_power(m_real: float, ms_real: float, delta: float, g: float) -> float:
@@ -336,39 +269,6 @@ def delta_at(t: float, coeffs: TrendCoefficients) -> float:
     else:
         value = 1.0 / (1.0 + math.exp(q))
     return min(max(value, math.nextafter(0.0, 1.0)), math.nextafter(1.0, 0.0))
-
-
-def budget_gap(
-    prev: AgentState,
-    cur: AgentState,
-    i_dom: float,
-    i_for: float,
-    fx_growth: float,
-    phi_monthly: float,
-) -> float:
-    """Signed budget-constraint residual (lei): resources minus uses.
-
-    Resources: last month's money net of the holding cost, bonds with
-    interest, and current transfers; euro positions are revalued by the
-    gross exchange-rate growth ``fx_growth`` = S_t/S_{t-1} because the
-    stored lei values reflect last month's rate. Uses: consumption plus
-    all end-of-month positions. Zero iff the constraint binds.
-    """
-    i_dom = _require_finite("i_dom", i_dom)
-    i_for = _require_finite("i_for", i_for)
-    fx_growth = _require_finite("fx_growth", fx_growth)
-    phi_monthly = _require_finite("phi_monthly", phi_monthly)
-    if fx_growth <= 0.0:
-        raise ParameterError(f"fx growth factor must be > 0, got {fx_growth}")
-    resources = (
-        prev.m * (1.0 - phi_monthly)
-        + fx_growth * prev.ms_lei * (1.0 - phi_monthly)
-        + prev.b * (1.0 + i_dom)
-        + fx_growth * prev.bs_lei * (1.0 + i_for)
-        + cur.z
-    )
-    uses = cur.x + cur.m + cur.ms_lei + cur.b + cur.bs_lei
-    return resources - uses
 
 
 @dataclass(frozen=True)

@@ -425,14 +425,23 @@ _REJECTION_KEYS = (
 def _montecarlo_block(mc: MonteCarloConfig, seeds: range) -> tuple:
     """The FM-OLS coefficients of a block of seeds, one row per seed, and
     per seed its Lc rejection at 10% and its spread and eps ADF
-    rejections at 5%, in the order of _REJECTION_KEYS."""
+    rejections at 5%, in the order of _REJECTION_KEYS, read off the
+    stacked kernels' arrays: each flag is the one the seed's report
+    (``coint.fmols``, ``unitroot.adf_test``) holds."""
     y, spread, eps = model.simulate_paths(mc.coeffs, mc.n_obs, mc.noise, seeds)
     fit = coint.fmols_stack(y, spread)
-    lc_rejects = [lc is not None and not lc.stable_at_10pct for lc in fit.lc]
-    adf_rejects = [
-        [rep.reject_at["5%"] for rep in unitroot.adf_stack(series, unitroot.INTERCEPT)]
-        for series in (spread, eps)
-    ]
+    lc_critical = coint.lc_critical_value(coint.QUADRATIC_TREND, 0.10)
+    # A degenerate row's Lc is NaN, which compares False: it does not reject.
+    lc_rejects = (fit.lc >= lc_critical).tolist()
+    adf_rejects = []
+    for series in (spread, eps):
+        stats, _, nobs = unitroot.adf_stack(series, unitroot.INTERCEPT)
+        nobs = nobs.tolist()
+        critical = {
+            n: unitroot.mackinnon_critical_values(unitroot.INTERCEPT, n)["5%"]
+            for n in set(nobs)
+        }
+        adf_rejects.append([s < critical[n] for s, n in zip(stats.tolist(), nobs)])
     return fit.theta, (lc_rejects, *adf_rejects)
 
 
@@ -457,7 +466,10 @@ def run_montecarlo(mc: MonteCarloConfig) -> dict:
 
     Seeds run in blocks of about 5,000 design rows (seeds x n_obs), each
     block through the stacked kernels (``model.simulate_paths``,
-    ``coint.fmols_stack``, ``unitroot.adf_stack``). Every seed keeps its
+    ``coint.fmols_stack``, ``unitroot.adf_stack``), whose arrays give the
+    rejection flags with no per-seed record: an Lc statistic against the
+    10% value, a degenerate fit counting as no rejection, and an ADF
+    statistic against the 5% value of its sample size. Every seed keeps its
     own generator and draws, and gets the bits a lone run of it gives.
     The block size is a constant, not a setting: it moves no result,
     only time and memory, and a fixed number of rows keeps peak memory

@@ -29,13 +29,15 @@ package's one Dickey-Fuller fit serves both tests.
 
 :func:`adf_stack` runs the ADF test on every row of a stack of series
 at once: one R-only QR of the stacked widest designs and one of the
-stacked refit problems, whatever orders the rows chose. Each row gets
-the bits :func:`adf_test` gives it alone, which is its one-series case,
-under the contiguity rule of :mod:`currsub._ols`: a row's arrays have
-shapes set by n, the spec and max_lags, never by the other rows, the
-vectors that are reduced or multiplied are C-contiguous, and the design
-columns are slices, not indexed copies, of the series. A row that
-refuses refuses the stack with its own error.
+stacked refit problems, whatever orders the rows chose. It returns
+arrays, the statistic, lag and sample size of every row, and builds no
+record: :func:`adf_test`, its one-series case, builds the one
+:class:`UnitRootReport` a caller reads. Each row gets the bits it gets
+alone, under the contiguity rule of :mod:`currsub._ols`: a row's arrays
+have shapes set by n, the spec and max_lags, never by the other rows,
+the vectors that are reduced or multiplied are C-contiguous, and the
+design columns are slices, not indexed copies, of the series. A row
+that refuses refuses the stack with its own error.
 """
 
 from __future__ import annotations
@@ -356,10 +358,10 @@ def adf_stack(
     spec: str = INTERCEPT,
     lags: int | None = None,
     max_lags: int = 12,
-) -> list[UnitRootReport] | UnitRootReport:
-    """Augmented Dickey-Fuller test of each row of (S, n) finite y, one
-    report per row; :func:`adf_test` is its case of one series, y of
-    shape (n,), which gives one report.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Augmented Dickey-Fuller test of each row of (S, n) finite y: the
+    (statistic, lag, n_obs) arrays, of shape (S,), or 0-d for a series y
+    of shape (n,), which is :func:`adf_test`'s case.
 
     The stack is factored once, R only, by the lag search, and every
     row's refit is read off that R (see the module docstring): no Q is
@@ -400,12 +402,11 @@ def adf_stack(
         best = np.full(y.shape[:-1], lags)
         r = search.r
     _, *fit = _level_fit(search, r, best)
-    stats, nobs = _t_ratio(*fit), n - 1 - best
-    reports = [
-        _report("ADF", spec, stat, lag, rows)
-        for stat, lag, rows in zip(*(np.ravel(a).tolist() for a in (stats, best, nobs)))
-    ]
-    return reports if y.ndim > 1 else reports[0]
+    stats = _t_ratio(*fit)
+    if np.isnan(stats).any():
+        # A NaN statistic has no p-value; refused as _report refuses it.
+        raise ParameterError("p-value outside [0, 1]: nan")
+    return stats, best, n - 1 - best
 
 
 def adf_test(
@@ -426,7 +427,8 @@ def adf_test(
     same R (see the module docstring). This is the one-series case of
     :func:`adf_stack`.
     """
-    return adf_stack(s.values, spec, lags, max_lags)
+    stat, lag, nobs = adf_stack(s.values, spec, lags, max_lags)
+    return _report("ADF", spec, float(stat), int(lag), int(nobs))
 
 
 def pp_test(

@@ -72,8 +72,7 @@ def test_criterion_2_foc_identity(capfd):
         benefit = (theta / (1.0 - theta)) * x / power
         oc_dom = benefit * delta * m ** (g - 1.0)
         oc_for = benefit * (1.0 - delta) * ms ** (g - 1.0)
-        p = ModelParams(sigma=sigma, theta=theta,
-                        phi_monthly=0.0008295381, beta=0.97)
+        p = ModelParams(sigma=sigma, theta=theta)
         scale = max(1.0, oc_dom, oc_for)
         worst_gap = max(
             worst_gap,

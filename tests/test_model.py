@@ -1,6 +1,7 @@
 """Tests for the money-demand model primitives and the data generator."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -10,13 +11,10 @@ from numpy.testing import assert_allclose
 
 from currsub.errors import DataError, ParameterError
 from currsub.model import (
-    AgentState,
     DgpNoise,
     ModelParams,
     TrendCoefficients,
     annual_to_monthly_cost,
-    budget_gap,
-    ces_liquidity,
     delta_at,
     delta_ratio_at,
     foc_euro_gap,
@@ -24,7 +22,6 @@ from currsub.model import (
     opportunity_cost,
     relative_demand_log,
     simulate_dgp,
-    utility,
 )
 from currsub.series import MonthStamp
 
@@ -35,8 +32,50 @@ TABLE_COEFFS = TrendCoefficients(
 )
 
 
-def params(sigma=0.5, theta=0.5, phi=0.0008295381, beta=0.97):
-    return ModelParams(sigma=sigma, theta=theta, phi_monthly=phi, beta=beta)
+def params(sigma=0.5, theta=0.5):
+    return ModelParams(sigma=sigma, theta=theta)
+
+
+# The model's primitives, kept here as the reference that the package's
+# first-order conditions are derived from (TestFocsAreTheUtilityMrs). They
+# take floats and compute in 50-digit decimal arithmetic: a central
+# difference of a double-precision utility loses eps / (h * share) of its
+# value, and a balance's share of liquidity falls to 1e-19 over criterion
+# 2's ranges (sigma = 0.1, m = 10, ms = 0.1).
+_DIGITS = 50
+
+
+def ces_liquidity(m_real, ms_real, delta, sigma):
+    """Liquidity services from the two real balances, as a Decimal.
+
+    CES form {delta*m^g + (1-delta)*ms^g}^(1/g) with g = (sigma-1)/sigma.
+    At sigma = 1 the exponent degenerates and the Cobb-Douglas limit
+    m^delta * ms^(1-delta) applies exactly.
+    """
+    if not m_real > 0.0 or not ms_real > 0.0:
+        raise ParameterError(f"real balances must be > 0, got m={m_real}, ms={ms_real}")
+    if not 0.0 < delta < 1.0:
+        raise ParameterError(f"delta must be in (0, 1), got {delta}")
+    if sigma <= 0.0:
+        raise ParameterError(f"sigma must be > 0, got {sigma}")
+    with localcontext() as ctx:
+        ctx.prec = _DIGITS
+        m, ms, d = Decimal(m_real), Decimal(ms_real), Decimal(delta)
+        if sigma == 1.0:
+            return m**d * ms ** (1 - d)
+        g = (Decimal(sigma) - 1) / Decimal(sigma)
+        return (d * m**g + (1 - d) * ms**g) ** (1 / g)
+
+
+def utility(x_real, m_real, ms_real, delta, params):
+    """Period utility x^(1-theta) * L^theta with L the CES liquidity, as a Decimal."""
+    if x_real <= 0.0:
+        raise ParameterError(f"consumption must be > 0, got {x_real}")
+    liq = ces_liquidity(m_real, ms_real, delta, params.sigma)
+    with localcontext() as ctx:
+        ctx.prec = _DIGITS
+        theta = Decimal(params.theta)
+        return Decimal(x_real) ** (1 - theta) * liq**theta
 
 
 class TestModelParams:
@@ -58,9 +97,9 @@ class TestModelParams:
             {"theta": 0.0},
             {"theta": 1.0},
             {"sigma": -0.1},
-            {"beta": 1.0},
-            {"phi": -0.001},
-            {"phi": 1.0},
+            {"sigma": math.nan},
+            {"sigma": math.inf},
+            {"theta": math.nan},
         ],
     )
     def test_domain_violations(self, kw):
@@ -108,14 +147,14 @@ class TestCesLiquidity:
         st.floats(0.1, 5.0),
     )
     def test_equal_inputs_collapse(self, c, delta, sigma):
-        assert ces_liquidity(c, c, delta, sigma) == pytest.approx(c, rel=1e-12)
+        assert float(ces_liquidity(c, c, delta, sigma)) == pytest.approx(c, rel=1e-12)
 
     def test_harmonic_case(self):
         # gamma = -1 turns the aggregator into a weighted harmonic mean.
-        assert ces_liquidity(1.0, 3.0, 0.5, 0.5) == pytest.approx(1.5, rel=1e-12)
+        assert float(ces_liquidity(1.0, 3.0, 0.5, 0.5)) == pytest.approx(1.5, rel=1e-12)
 
     def test_cobb_douglas_limit(self):
-        assert ces_liquidity(4.0, 9.0, 0.5, 1.0) == pytest.approx(6.0, rel=1e-12)
+        assert float(ces_liquidity(4.0, 9.0, 0.5, 1.0)) == pytest.approx(6.0, rel=1e-12)
 
     @given(
         st.floats(0.1, 10.0),
@@ -125,8 +164,8 @@ class TestCesLiquidity:
         st.floats(0.01, 100.0),
     )
     def test_homogeneous_degree_one(self, m, ms, delta, sigma, lam):
-        scaled = ces_liquidity(lam * m, lam * ms, delta, sigma)
-        assert scaled == pytest.approx(lam * ces_liquidity(m, ms, delta, sigma), rel=1e-12)
+        scaled = float(ces_liquidity(lam * m, lam * ms, delta, sigma))
+        assert scaled == pytest.approx(lam * float(ces_liquidity(m, ms, delta, sigma)), rel=1e-12)
 
     def test_continuous_at_sigma_one(self):
         grid = [0.1, 0.5, 1.0, 2.0, 10.0]
@@ -148,13 +187,14 @@ class TestCesLiquidity:
 
 class TestUtility:
     def test_unit_inputs(self):
-        assert utility(1.0, 1.0, 1.0, 0.3, params(sigma=2.0, theta=0.7)) == pytest.approx(1.0)
+        got = float(utility(1.0, 1.0, 1.0, 0.3, params(sigma=2.0, theta=0.7)))
+        assert got == pytest.approx(1.0)
 
     def test_square_roots(self):
-        assert utility(4.0, 9.0, 9.0, 0.5, params(theta=0.5)) == pytest.approx(6.0)
+        assert float(utility(4.0, 9.0, 9.0, 0.5, params(theta=0.5))) == pytest.approx(6.0)
 
     def test_equal_inputs_power(self):
-        got = utility(2.0, 1.0, 1.0, 0.6, params(sigma=2.0, theta=0.3))
+        got = float(utility(2.0, 1.0, 1.0, 0.6, params(sigma=2.0, theta=0.3)))
         assert got == pytest.approx(2.0**0.7, abs=1e-5)
 
     def test_consumption_domain(self):
@@ -227,6 +267,40 @@ class TestFocDemandIdentity:
             assert implied == pytest.approx(math.log(ms / m), abs=1e-10)
 
 
+class TestFocsAreTheUtilityMrs:
+    def test_gaps_give_the_central_difference_mrs(self):
+        # oc + gap * delta * m^(g-1) is (theta/(1-theta)) x delta m^(g-1) / P,
+        # the marginal rate of substitution U_m / U_x; the euro gap mirrors it.
+        # A central difference at relative step h errs by O(h^2) = 1e-12,
+        # times derivative ratios well below 1e3 over these ranges; the
+        # 50-digit reference adds no rounding of note. The left side sums
+        # two terms of order oc, so it is compared on the scale of oc too.
+        h = 1e-6
+        tol = 1e3 * h**2
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            theta, delta = rng.uniform(0.05, 0.95, 2)
+            sigma = rng.uniform(0.1, 5.0)
+            m, ms, x = rng.uniform(0.1, 10.0, 3)
+            oc_dom, oc_for = rng.uniform(0.001, 0.1, 2)
+            p = params(sigma=sigma, theta=theta)
+            g = p.gamma
+
+            def partial(k):
+                lo, hi = [x, m, ms], [x, m, ms]
+                lo[k] *= 1.0 - h
+                hi[k] *= 1.0 + h
+                return (utility(*hi, delta, p) - utility(*lo, delta, p)) / Decimal(hi[k] - lo[k])
+
+            u_x = partial(0)
+            money = oc_dom + foc_money_gap(x, m, ms, delta, oc_dom, p) * delta * m ** (g - 1.0)
+            euro = oc_for + foc_euro_gap(x, m, ms, delta, oc_for, p) * (1.0 - delta) * ms ** (
+                g - 1.0
+            )
+            assert money == pytest.approx(float(partial(1) / u_x), rel=tol, abs=tol * oc_dom)
+            assert euro == pytest.approx(float(partial(2) / u_x), rel=tol, abs=tol * oc_for)
+
+
 class TestRelativeDemand:
     def test_symmetric_zero(self):
         assert relative_demand_log(0.5, 1.3, 0.02, 0.02) == 0.0
@@ -282,39 +356,6 @@ class TestDeltaPath:
     def test_sigma_must_be_positive(self):
         with pytest.raises(ParameterError):
             TrendCoefficients(v0=0.0, v1=0.0, v2=0.0, sigma=0.0)
-
-
-class TestBudgetGap:
-    def test_hand_to_mouth(self):
-        prev = AgentState(x=0.0, m=0.0, ms_lei=0.0, b=0.0, bs_lei=0.0, p=1.0, z=0.0)
-        cur = AgentState(x=50.0, m=0.0, ms_lei=0.0, b=0.0, bs_lei=0.0, p=1.0, z=50.0)
-        assert budget_gap(prev, cur, 0.01, 0.005, 1.0, 0.001) == 0.0
-
-    def test_holding_cost_eats_one_percent(self):
-        prev = AgentState(x=0.0, m=100.0, ms_lei=0.0, b=0.0, bs_lei=0.0, p=1.0, z=0.0)
-        cur = AgentState(x=99.0, m=0.0, ms_lei=0.0, b=0.0, bs_lei=0.0, p=1.0, z=0.0)
-        assert budget_gap(prev, cur, 0.0, 0.0, 1.0, 0.01) == pytest.approx(0.0)
-
-    def test_extra_consumption_shows_up_signed(self):
-        prev = AgentState(x=0.0, m=100.0, ms_lei=50.0, b=10.0, bs_lei=5.0, p=1.0, z=0.0)
-        cur = AgentState(x=20.0, m=80.0, ms_lei=40.0, b=20.0, bs_lei=5.0, p=1.0, z=0.0)
-        base = budget_gap(prev, cur, 0.01, 0.004, 1.02, 0.001)
-        bumped = AgentState(
-            x=21.0, m=80.0, ms_lei=40.0, b=20.0, bs_lei=5.0, p=1.0, z=0.0
-        )
-        assert budget_gap(prev, bumped, 0.01, 0.004, 1.02, 0.001) == pytest.approx(base - 1.0)
-
-    def test_fx_revalues_euro_positions(self):
-        prev = AgentState(x=0.0, m=0.0, ms_lei=100.0, b=0.0, bs_lei=0.0, p=1.0, z=0.0)
-        cur = AgentState(x=0.0, m=0.0, ms_lei=0.0, b=0.0, bs_lei=0.0, p=1.0, z=0.0)
-        flat = budget_gap(prev, cur, 0.0, 0.0, 1.0, 0.0)
-        depreciated = budget_gap(prev, cur, 0.0, 0.0, 1.1, 0.0)
-        assert depreciated == pytest.approx(1.1 * flat)
-
-    def test_fx_growth_domain(self):
-        prev = AgentState(x=0.0, m=1.0, ms_lei=1.0, b=0.0, bs_lei=0.0, p=1.0, z=0.0)
-        with pytest.raises(ParameterError):
-            budget_gap(prev, prev, 0.0, 0.0, 0.0, 0.0)
 
 
 class TestSimulateDgp:

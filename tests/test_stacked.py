@@ -9,6 +9,8 @@ refusal of any row refuses the stack with that row's own error, and
 first.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -73,21 +75,22 @@ class TestStackedEqualsOneRow:
         # Fortran-ordered stacks: a row of one is not unit-stride.
         y_f, x_f = np.asfortranarray(y), np.asfortranarray(x)
         stack = coint.fmols_stack(y_f, x_f, config, bandwidth)
+        critical = coint.lc_critical_value(config, 0.10)
         degenerate = []
         for i in range(len(y)):
             one = coint.fmols(series(y[i]), series(x[i]), config, bandwidth)
-            lc = stack.lc[i]
+            lc = stack.lc[i].item()
             assert hexes(stack.theta[i]) == hexes(one.params.values())
             assert hexes(stack.standard_errors[i]) == hexes(one.standard_errors.values())
             assert float(stack.r_squared[i]).hex() == one.r_squared.hex()
-            assert (lc is None) is (one.lc_statistic is None)
-            if lc is not None:
-                assert lc.statistic.hex() == one.lc_statistic.hex()
-                assert lc.stable_at_10pct is one.lc_stable_at_10pct
+            assert math.isnan(lc) is (one.lc_statistic is None)
+            if one.lc_statistic is not None:
+                assert lc.hex() == one.lc_statistic.hex()
+                assert (lc < critical) is one.lc_stable_at_10pct
             for name in ("omega", "lam", "gamma0"):
                 stacked = getattr(stack.lrc, name)[i]
                 assert hexes(stacked.ravel()) == hexes(getattr(one.lrc, name).ravel())
-            assert stack.degenerate_inference[i] is one.degenerate_inference
+            assert stack.degenerate_inference[i].item() is one.degenerate_inference
             degenerate.append(one.degenerate_inference)
         assert degenerate == [False, False, True, False, False, False]
 
@@ -100,16 +103,16 @@ class TestStackedEqualsOneRow:
         for i, row in enumerate(rows):
             assert hexes(aic[i]) == hexes(lag_aic(row, spec))
         for lags in (None, 2):
-            stack = unitroot.adf_stack(np.asfortranarray(rows), spec, lags=lags)
+            stats, chosen, nobs = unitroot.adf_stack(np.asfortranarray(rows), spec, lags=lags)
             for i, row in enumerate(rows):
                 one = unitroot.adf_test(series(row), spec, lags=lags)
-                assert stack[i].lags_or_bandwidth == one.lags_or_bandwidth
-                assert stack[i].statistic.hex() == one.statistic.hex()
-                assert stack[i].n_obs == one.n_obs
+                assert chosen[i] == one.lags_or_bandwidth
+                assert float(stats[i]).hex() == one.statistic.hex()
+                assert nobs[i] == one.n_obs
         # The search meets more than one order, and one refit stack serves them all.
-        assert len({report.lags_or_bandwidth for report in stack}) == 1
-        chosen = {report.lags_or_bandwidth for report in unitroot.adf_stack(rows, spec)}
-        assert len(chosen) > 1
+        assert len(set(chosen.tolist())) == 1
+        chosen = unitroot.adf_stack(rows, spec)[1]
+        assert len(set(chosen.tolist())) > 1
 
 
 def refusal(call):
@@ -204,3 +207,42 @@ class TestMonteCarloRefusalPrecedence:
         expected = seed_by_seed_refusal(mc)
         assert expected is not None
         assert refusal(lambda: pipeline.run_montecarlo(mc)) == expected
+
+
+class TestMonteCarloFlags:
+    """The rejection flags that ``run_montecarlo`` counts, read off the
+    stacked kernels' arrays, against the records of the one-row calls. The
+    ``montecarlo raw`` digest line hashes only rejection rates, so this is
+    the per-seed check."""
+
+    @pytest.mark.parametrize("n_obs, seed_base", [(171, 0), (400, 7919)])
+    def test_block_flags_equal_the_records(self, monkeypatch, n_obs, seed_base):
+        simulate_paths = model.simulate_paths
+        exact = seed_base + 1  # an exact fit: its Lc is degenerate
+
+        def with_exact_fit(coeffs, n, noise, seeds, **kwargs):
+            y, spread, eps = simulate_paths(coeffs, n, noise, seeds, **kwargs)
+            if exact in seeds:
+                row = list(seeds).index(exact)
+                y[row] = coeffs.v0 + coeffs.sigma * spread[row]
+            return y, spread, eps
+
+        monkeypatch.setattr(model, "simulate_paths", with_exact_fit)
+        mc = pipeline.MonteCarloConfig(
+            n_seeds=10, n_obs=n_obs, coeffs=TRUTH, noise=NOISE, seed_base=seed_base
+        )
+        seeds = range(seed_base, seed_base + pipeline._MONTECARLO_BLOCK_ROWS // n_obs)
+        _, flags = pipeline._montecarlo_block(mc, seeds)
+        expected = ([], [], [])
+        for seed in seeds:
+            sim = model.simulate_dgp(TRUTH, n_obs, NOISE, seed)
+            fit = coint.fmols(sim.log_money_ratio, sim.oc_spread_log)
+            assert fit.degenerate_inference is (seed == exact)
+            # A degenerate fit has no Lc (None) and counts as no rejection.
+            expected[0].append(fit.lc_stable_at_10pct is False)
+            for rejects, s in zip(expected[1:], (sim.oc_spread_log, sim.eps)):
+                rejects.append(unitroot.adf_test(s, unitroot.INTERCEPT).reject_at["5%"])
+        assert [list(block) for block in flags] == list(expected)
+        # The Lc and spread lists hold both verdicts, so a flag read off the
+        # wrong row would show; the eps ADF rejects at every seed.
+        assert all(True in block and False in block for block in expected[:2])

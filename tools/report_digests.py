@@ -294,8 +294,9 @@ def fmols_stack_digest(runs=MONTECARLO_RUNS) -> str:
                     sha.update(_hex_line(np.ravel(values)))
                 for mat in (fit.lrc.omega, fit.lrc.lam, fit.lrc.gamma0):
                     sha.update(_hex_line(mat.ravel()))
-                sha.update(f"{fit.degenerate_inference}\n".encode())
-                lcs = ["None" if lc is None else lc.statistic.hex() for lc in fit.lc]
+                degenerate = fit.degenerate_inference.tolist()
+                sha.update(f"{tuple(degenerate)}\n".encode())
+                lcs = ["None" if d else lc.hex() for d, lc in zip(degenerate, fit.lc.tolist())]
                 sha.update((",".join(lcs) + "\n").encode())
     return f"fmols stack: {stacks} stacks, sha256:{sha.hexdigest()}"
 
@@ -312,14 +313,12 @@ def adf_stack_digest(runs=MONTECARLO_RUNS) -> str:
                 for lags in ADF_LAGS:
                     stacks += 1
                     try:
-                        reports = unitroot.adf_stack(series, spec, lags)
+                        rows = unitroot.adf_stack(series, spec, lags)
                     except CurrsubError as exc:
                         sha.update(f"adf_stack refused: {exc}\n".encode())
                         continue
-                    for rep in reports:
-                        sha.update(
-                            f"{rep.statistic.hex()} {rep.lags_or_bandwidth} {rep.n_obs}\n".encode()
-                        )
+                    for stat, lag, nobs in zip(*(a.tolist() for a in rows)):
+                        sha.update(f"{stat.hex()} {lag} {nobs}\n".encode())
     return f"adf stack: {stacks} stacks, sha256:{sha.hexdigest()}"
 
 
