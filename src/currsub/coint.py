@@ -375,9 +375,13 @@ def fmols_stack(
     )
 
     # One R^-1 serves the standard errors and Lc: the diagonal of
-    # (Z'Z)^-1 = R^-1 R^-T is the squared row norms of R^-1.
+    # (Z'Z)^-1 = R^-1 R^-T is the squared row norms of R^-1. omega112 enters
+    # the product brought into [1/4, 1) by 2^(-2 half), and 2^half returns
+    # after the root: exact, and no overflow where the standard error is finite.
     r_inv = np.linalg.solve(r, np.eye(k))
-    se = np.sqrt(omega112[..., None] * (r_inv * r_inv).sum(axis=-1)) / scale
+    half = np.frexp(omega112)[1][..., None] // 2
+    var = np.ldexp(omega112[..., None], -2 * half) * (r_inv * r_inv).sum(axis=-1)
+    se = np.ldexp(np.sqrt(var), half) / scale
     se = np.where(degenerate[..., None], 0.0, se)
     u_plus = y_plus - matvec(zt, theta_t)
     # The whitened scores R^-T (z_t u_t - bias), time-last and C-ordered: q_t u_t

@@ -74,17 +74,6 @@ class ModelParams:
         if self.sigma < 0.0:
             raise ParameterError(f"sigma must be >= 0, got {self.sigma}")
 
-    @property
-    def gamma(self) -> float:
-        """CES exponent (sigma - 1)/sigma; always < 1, undefined at sigma = 0."""
-        return _gamma(self.sigma)
-
-
-def _gamma(sigma: float) -> float:
-    if sigma <= 0.0:
-        raise ParameterError(f"gamma requires sigma > 0, got {sigma}")
-    return (sigma - 1.0) / sigma
-
 
 @dataclass(frozen=True)
 class TrendCoefficients:
@@ -171,7 +160,7 @@ def _foc_gap(
         raise ParameterError(f"consumption must be > 0, got {x_real}")
     if oc <= 0.0:
         raise ParameterError(f"opportunity cost must be > 0, got {oc}")
-    g = _gamma(params.sigma)
+    g = (params.sigma - 1.0) / params.sigma  # the CES exponent; sigma > 0 here
     benefit = (params.theta / (1.0 - params.theta)) * x_real / _ces_power(
         m_real, ms_real, delta, g
     )

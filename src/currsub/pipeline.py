@@ -4,15 +4,17 @@ The flow is ingest -> derive -> (unit roots | estimation | delta path),
 plus a synthetic-dataset writer that inverts the derivation so simulated
 draws can be pushed through the exact same path, and a Monte Carlo
 driver for validating the estimators, which runs its seeds in blocks
-through the stacked kernels (see :func:`run_montecarlo`). Everything
-here is a pure function
-of its inputs; the CLI layer owns argument parsing and process exit
-codes.
+through the stacked kernels (see :func:`run_montecarlo`). A dataset is
+columnar (:class:`Dataset`): ingest builds no object per row, derivation
+runs a column at a time, and the unit-root grid tests both series as one
+ADF stack per spec. Everything here is a pure function of its inputs;
+the CLI layer owns argument parsing and process exit codes.
 
 Serialization rule: every float in an emitted report is rounded to 9
 significant digits, which makes repeated runs byte-identical and report
 files diffable. :func:`render_report` walks the report document once and
-rounds each float as it writes it; its JSON is the text that
+rounds each float as it writes it (the JSON of a list of flat records,
+such as the delta path, a column at a time); its JSON is the text that
 ``json.dumps(indent=2, allow_nan=False)`` gives the rounded document
 (report keys are strings; both formats refuse any other key with
 ``TypeError``), and its CSV has one row per value.
@@ -25,8 +27,8 @@ import dataclasses
 import hashlib
 import io
 import math
-import operator
 import statistics
+from collections import namedtuple
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
@@ -44,6 +46,7 @@ from .errors import (
 from .series import MonthStamp, MonthlySeries, pearson_correlation
 
 __all__ = [
+    "Dataset",
     "DatasetRow",
     "PipelineConfig",
     "IngestResult",
@@ -67,35 +70,58 @@ __all__ = [
 
 SCHEMA_EUR_FX = ("date", "m_dom", "m_eur", "fx", "i_dom", "i_eur")
 SCHEMA_EUR_LEI = ("date", "m_dom", "m_eur_lei", "i_dom", "i_eur")
+_COLUMNS = SCHEMA_EUR_FX[1:]
+# A month of a Dataset, as iteration gives it: its MonthStamp, then floats.
+DatasetRow = namedtuple("DatasetRow", SCHEMA_EUR_FX)
+# What each row rule requires, in the order a row's rules are checked.
+_ROW_RULES = (*(f"{name} is not finite" for name in _COLUMNS), "money stocks must be > 0",
+              "exchange rate must be > 0", "i_dom below -99% per annum", "i_eur below -99% per annum")
 
 
-@dataclass(frozen=True)
-class DatasetRow:
-    """One month of raw inputs.
+def _row_defect(columns: list[np.ndarray]) -> tuple[int, str] | None:
+    """(position, rule) of the first row of the columns to break a rule, or None."""
+    m_dom, m_eur, fx, i_dom, i_eur = columns
+    broken = np.array([*(~np.isfinite(column) for column in columns),
+                       (m_dom <= 0.0) | (m_eur <= 0.0), fx <= 0.0, i_dom <= -99.0, i_eur <= -99.0])
+    k = int(broken.any(axis=0).argmax()) if broken.any() else None
+    return None if k is None else (k, _ROW_RULES[int(broken[:, k].argmax())])
 
-    Money stocks in lei and euro, the lei-per-euro exchange rate, and
-    the two money-market rates in percent per annum.
-    """
 
-    date: MonthStamp
-    m_dom: float
-    m_eur: float
-    fx: float
-    i_dom: float
-    i_eur: float
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """Raw inputs of a contiguous monthly span, row k of each read-only float64
+    column in month ``start.shift(k)``: money stocks in lei and euro, the
+    lei-per-euro rate and two rates in percent per annum. The first month
+    that breaks a row rule (:func:`_row_defect`) is refused."""
+
+    start: MonthStamp
+    m_dom: np.ndarray = field(repr=False)
+    m_eur: np.ndarray = field(repr=False)
+    fx: np.ndarray = field(repr=False)
+    i_dom: np.ndarray = field(repr=False)
+    i_eur: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        for name in SCHEMA_EUR_FX[1:]:
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise IngestionError(f"{self.date}: {name} is not finite")
-        if self.m_dom <= 0.0 or self.m_eur <= 0.0:
-            raise IngestionError(f"{self.date}: money stocks must be > 0")
-        if self.fx <= 0.0:
-            raise IngestionError(f"{self.date}: exchange rate must be > 0")
-        for name in ("i_dom", "i_eur"):
-            if getattr(self, name) <= -99.0:
-                raise IngestionError(f"{self.date}: {name} below -99% per annum")
+        columns = [np.array(getattr(self, name), dtype=float) for name in _COLUMNS]
+        if len({column.shape for column in columns}) != 1 or columns[0].ndim != 1:
+            raise DataError("a dataset's columns must be 1-D and of one length")
+        if (defect := _row_defect(columns)) is not None:
+            raise IngestionError(f"{self.start.shift(defect[0])}: {defect[1]}")
+        for name, column in zip(_COLUMNS, columns):
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+
+    def __len__(self) -> int:
+        return self.m_dom.size
+
+    def __iter__(self):
+        rows = zip(*(getattr(self, name).tolist() for name in _COLUMNS))
+        return (DatasetRow(self.start.shift(k), *row) for k, row in enumerate(rows))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Dataset) and self.start == other.start and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in _COLUMNS
+        )
 
 
 @dataclass(frozen=True)
@@ -155,7 +181,7 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class IngestResult:
-    rows: tuple[DatasetRow, ...]
+    rows: Dataset
     schema: str
     digest: str
 
@@ -197,29 +223,23 @@ _PARSE_ORDER = {
 }
 
 
-def _csv_records(text: str):
-    """(physical line, fields) of each CSV record; a malformed one is refused."""
-    # newline=None reads a lone CR as a line end, and line_num stays physical.
-    reader = csv.reader(io.StringIO(text, newline=None))
-    try:
-        for values in reader:
-            yield reader.line_num, values
-    except csv.Error as exc:
-        raise IngestionError(f"line {reader.line_num}: {exc}") from None
-
-
-def ingest_rows(text: str) -> tuple[tuple[DatasetRow, ...], str]:
-    """Parse and validate CSV text; returns (rows, schema name).
+def ingest_rows(text: str) -> tuple[Dataset, str]:
+    """Parse and validate CSV text; returns (dataset, schema name).
 
     The header must be exactly one of the two documented schemas (any
     column order): euro stock with an exchange rate, or the euro stock
     already converted to lei (then fx is fixed at 1). Blank lines are
     skipped, and a refused row is named by its physical line. Lines may
     end in LF, CRLF or CR alone. Rows are sorted by date and must form
-    one contiguous monthly span.
+    one contiguous monthly span. A refusal is the first in file order, or
+    else a duplicate or missing month.
     """
-    records = _csv_records(text)
-    _, names = next(records, (0, None))
+    # newline=None reads a lone CR as a line end, and line_num stays physical.
+    reader = csv.reader(io.StringIO(text, newline=None))
+    try:
+        names = next(reader, None)
+    except csv.Error as exc:
+        raise IngestionError(f"line {reader.line_num}: {exc}") from None
     if names is None:
         raise IngestionError("empty input: no header row")
     header = tuple(name.strip() for name in names)
@@ -238,37 +258,47 @@ def ingest_rows(text: str) -> tuple[tuple[DatasetRow, ...], str]:
     date_column = column["date"]
     value_columns = [(name, column[name]) for name in _PARSE_ORDER[schema]]
 
-    months = []  # (month index, row) pairs
-    for line, values in records:
-        if not values:
-            continue
-        if len(values) != len(header):
-            raise IngestionError(f"line {line}: wrong number of fields")
-        raw_date = values[date_column].strip()
-        try:
-            date = MonthStamp.parse(raw_date)
-        except DataError as exc:
-            raise IngestionError(f"line {line}: {exc}") from None
-        parsed = [_parse_float(raw_date, name, values[k]) for name, k in value_columns]
-        if schema == "m_eur_fx":
-            m_eur, fx, m_dom, i_dom, i_eur = parsed
-        else:
-            m_eur, m_dom, i_dom, i_eur = parsed
-            fx = 1.0
-        months.append((date.index, DatasetRow(date, m_dom, m_eur, fx, i_dom, i_eur)))
-    if not months:
-        raise IngestionError("no data rows")
+    indices, parsed, failure = [], [], None  # failure: the record that ends the scan
+    try:
+        for values in reader:
+            if not values:
+                continue
+            if len(values) != len(header):
+                raise IngestionError(f"line {reader.line_num}: wrong number of fields")
+            try:
+                index = MonthStamp.parse_index(values[date_column].strip())
+            except DataError as exc:
+                raise IngestionError(f"line {reader.line_num}: {exc}") from None
+            try:
+                parsed.append([float(values[k]) for _, k in value_columns])
+            except ValueError:  # parsed field by field, to word the refusal
+                for name, k in value_columns:
+                    _parse_float(values[date_column].strip(), name, values[k])
+            indices.append(index)
+    except csv.Error as exc:
+        failure = IngestionError(f"line {reader.line_num}: {exc}")
+    except IngestionError as exc:
+        failure = exc
+    if not parsed:
+        raise failure or IngestionError("no data rows")
+    named = dict(zip(_PARSE_ORDER[schema], map(np.array, zip(*parsed))))
+    if schema == "m_eur_lei":
+        named.update(m_eur=named.pop("m_eur_lei"), fx=np.ones(len(parsed)))
+    columns = [named[name] for name in _COLUMNS]
+    if (defect := _row_defect(columns)) is not None:
+        raise IngestionError(f"{MonthStamp.from_index(indices[defect[0]])}: {defect[1]}")
+    if failure is not None:
+        raise failure
 
-    months.sort(key=operator.itemgetter(0))
-    for (prev_index, prev), (index, cur) in zip(months, months[1:]):
-        if index == prev_index:
-            raise IngestionError(f"duplicate month {cur.date}")
-        if index != prev_index + 1:
-            raise IngestionError(
-                f"gap in months: missing {prev.date.shift(1)} "
-                f"between {prev.date} and {cur.date}"
-            )
-    return tuple(row for _, row in months), schema
+    order = np.argsort(indices, kind="stable")
+    months = np.array(indices)[order].tolist()
+    for prev, cur in zip(months, months[1:]):
+        if cur != prev + 1:
+            prev, cur = MonthStamp.from_index(prev), MonthStamp.from_index(cur)
+            if cur == prev:
+                raise IngestionError(f"duplicate month {cur}")
+            raise IngestionError(f"gap in months: missing {prev.shift(1)} between {prev} and {cur}")
+    return Dataset(MonthStamp.from_index(months[0]), *(column[order] for column in columns)), schema
 
 
 def ingest(path: str) -> IngestResult:
@@ -288,62 +318,64 @@ def ingest(path: str) -> IngestResult:
     return IngestResult(rows=rows, schema=schema, digest=digest)
 
 
-def _annual_pct_to_monthly(rate_pct: float) -> float:
-    return model.annual_to_monthly_cost(rate_pct / 100.0)
-
-
-def derive_series(rows: tuple[DatasetRow, ...], config: PipelineConfig) -> DerivedSeries:
-    """Build the model series from validated rows.
+def derive_series(data: Dataset, config: PipelineConfig) -> DerivedSeries:
+    """Build the model series from a dataset, a column at a time.
 
     Log money ratio ln(fx * m_eur / m_dom); rates converted from annual
     percent to monthly decimals geometrically; opportunity costs with
     the monthly equivalent of the configured annual holding cost; the
-    spread is the log opportunity-cost difference.
+    spread is the log opportunity-cost difference. Arithmetic runs on whole
+    columns; ``math`` takes logarithms and converts rates value by value.
     """
-    if not rows:
-        raise DataError("no rows to derive from")
     phi_monthly = model.annual_to_monthly_cost(config.phi_annual)
-    start = rows[0].date
-    ratio = np.empty(len(rows))
-    oc_dom = np.empty(len(rows))
-    oc_for = np.empty(len(rows))
-    for k, row in enumerate(rows):
-        money_ratio = row.fx * row.m_eur / row.m_dom
-        if not 0.0 < money_ratio < math.inf:
+    with np.errstate(over="ignore"):  # an infinite ratio is refused below
+        ratio = data.fx * data.m_eur / data.m_dom
+    # A dataset's rates exceed -99% a year, so every monthly rate exceeds -1.
+    rates = [np.array(list(map(model.annual_to_monthly_cost, (pct / 100.0).tolist())))
+             for pct in (data.i_dom, data.i_eur)]
+    bad = ~((0.0 < ratio) & (ratio < math.inf) & (np.minimum(*rates) + phi_monthly > 0.0))
+    if bad.any():
+        k = int(bad.argmax())
+        if not 0.0 < ratio[k] < math.inf:
             raise SeriesDomainError(
-                f"{row.date}: fx * m_eur / m_dom is outside the floating-point range"
+                f"{data.start.shift(k)}: fx * m_eur / m_dom is outside the floating-point range"
             )
-        ratio[k] = math.log(money_ratio)
         try:
-            oc_dom[k] = model.opportunity_cost(
-                _annual_pct_to_monthly(row.i_dom), phi_monthly
-            )
-            oc_for[k] = model.opportunity_cost(
-                _annual_pct_to_monthly(row.i_eur), phi_monthly
-            )
+            for rate in rates:
+                model.opportunity_cost(rate[k].item(), phi_monthly)
         except ParameterError as exc:
-            raise SeriesDomainError(f"{row.date}: {exc}") from None
-    spread = np.log(oc_dom) - np.log(oc_for)
+            raise SeriesDomainError(f"{data.start.shift(k)}: {exc}") from None
+    oc_dom, oc_for = ((rate + phi_monthly) / (1.0 + rate) for rate in rates)
     return DerivedSeries(
-        log_money_ratio=MonthlySeries(start, ratio),
-        oc_spread_log=MonthlySeries(start, spread),
+        log_money_ratio=MonthlySeries(data.start, list(map(math.log, ratio.tolist()))),
+        oc_spread_log=MonthlySeries(data.start, np.log(oc_dom) - np.log(oc_for)),
     )
 
 
 def run_unit_roots(
     derived: DerivedSeries, config: PipelineConfig
 ) -> tuple[UnitRootRun, ...]:
-    """The 2 series x 2 tests x 2 deterministic specs report grid."""
+    """The 2 series x 2 tests x 2 deterministic specs report grid; the ADF
+    test runs both series as one stack per spec, each row with its lone
+    run's bits (:func:`unitroot.adf_stack`). If a stack refuses, the grid
+    runs cell by cell, in report order, to raise the first refusal."""
+    names, kinds = ("log_money_ratio", "oc_spread_log"), unitroot.DETERMINISTIC_KINDS
     # Looked up per call, so a wrapper swapped into unitroot is honoured.
     tests = (
         (unitroot.adf_test, {"lags": config.lags, "max_lags": config.max_lags}),
         (unitroot.pp_test, {"bandwidth": config.bandwidth}),
     )
+    try:
+        stack = np.stack([getattr(derived, name).values for name in names])
+        adf = {spec: unitroot.adf_reports(stack, spec, **tests[0][1]) for spec in kinds}
+    except CurrsubError:
+        adf = {}
     return tuple(
-        UnitRootRun(series=name, report=test(getattr(derived, name), spec, **settings))
-        for name in ("log_money_ratio", "oc_spread_log")
-        for test, settings in tests
-        for spec in unitroot.DETERMINISTIC_KINDS
+        UnitRootRun(series=name, report=adf[spec][j] if adf and t == 0
+                    else test(getattr(derived, name), spec, **settings))
+        for j, name in enumerate(names)
+        for t, (test, settings) in enumerate(tests)
+        for spec in kinds
     )
 
 
@@ -522,45 +554,41 @@ def _exp(value: float) -> float:
 
 def dataset_rows_from_simulation(
     sim: model.SimulatedDgp, phi_annual: float = PipelineConfig.phi_annual
-) -> tuple[DatasetRow, ...]:
+) -> Dataset:
     """Invert the derivation: wrap a simulated draw as a raw dataset.
 
     The domestic stock and the euro-area rate are held constant and the
     exchange rate is 1, so the euro stock carries the log money ratio
     and the domestic rate carries the spread. Pushing the result through
     ingest/derive reproduces the simulated series up to serialization
-    rounding.
+    rounding. Refuses the first month with a spread too large to invert
+    or values that break a row rule of :class:`Dataset`.
     """
     phi_monthly = model.annual_to_monthly_cost(phi_annual)
-    i_for_monthly = _annual_pct_to_monthly(_SIM_I_EUR_ANNUAL_PCT)
+    i_for_monthly = model.annual_to_monthly_cost(_SIM_I_EUR_ANNUAL_PCT / 100.0)
     oc_for = model.opportunity_cost(i_for_monthly, phi_monthly)
-    rows = []
-    dates = sim.log_money_ratio.dates()
-    for k, date in enumerate(dates):
-        oc_dom = oc_for * _exp(sim.oc_spread_log.values[k])
-        if not oc_dom < 1.0:
-            raise DataError(f"{date}: spread too large to invert into a rate")
+    rows: list[tuple] = []
+    start = sim.log_money_ratio.start
+    for k, (log_ratio, spread) in enumerate(
+        zip(sim.log_money_ratio.values.tolist(), sim.oc_spread_log.values.tolist())
+    ):
+        oc_dom = oc_for * _exp(spread)
+        if not oc_dom < 1.0:  # the months before come first
+            Dataset(start, *np.array(rows).reshape(-1, len(_COLUMNS)).T)
+            raise DataError(f"{start.shift(k)}: spread too large to invert into a rate")
         i_dom_monthly = (oc_dom - phi_monthly) / (1.0 - oc_dom)
         i_dom_annual_pct = ((1.0 + i_dom_monthly) ** 12 - 1.0) * 100.0
-        rows.append(
-            DatasetRow(
-                date=date,
-                m_dom=_SIM_M_DOM_LEVEL,
-                m_eur=_SIM_M_DOM_LEVEL * _exp(sim.log_money_ratio.values[k]),
-                fx=1.0,
-                i_dom=i_dom_annual_pct,
-                i_eur=_SIM_I_EUR_ANNUAL_PCT,
-            )
-        )
-    return tuple(rows)
+        m_eur = _SIM_M_DOM_LEVEL * _exp(log_ratio)
+        rows.append((_SIM_M_DOM_LEVEL, m_eur, 1.0, i_dom_annual_pct, _SIM_I_EUR_ANNUAL_PCT))
+    return Dataset(start, *np.array(rows).T)
 
 
 def _fmt(value: float) -> str:
     return format(float(value), ".9g")
 
 
-def dataset_csv_text(rows: tuple[DatasetRow, ...]) -> str:
-    """Render rows in the primary input schema.
+def dataset_csv_text(rows: Dataset) -> str:
+    """Render rows, such as a :class:`Dataset`'s, in the primary input schema.
 
     Twelve significant digits, not the report-level nine: the derivation
     exponentiates the stored columns, so nine digits here would not keep
@@ -577,7 +605,7 @@ def dataset_csv_text(rows: tuple[DatasetRow, ...]) -> str:
     return out.getvalue()
 
 
-def write_dataset_csv(rows: tuple[DatasetRow, ...], path: str) -> None:
+def write_dataset_csv(rows: Dataset, path: str) -> None:
     with open(path, "w", newline="") as handle:
         handle.write(dataset_csv_text(rows))
 
@@ -593,17 +621,9 @@ def _fmols_entry(report: coint.FmolsReport) -> dict:
         "bandwidth": report.lrc.bandwidth,
         "degenerate_inference": report.degenerate_inference,
         "lc_statistic": report.lc_statistic,
-        "lc_p_value_range": (
-            None
-            if report.lc_p_value_range is None
-            else list(report.lc_p_value_range)
-        ),
+        "lc_p_value_range": report.lc_p_value_range,  # a tuple renders as a list
         "lc_stable_at_10pct": report.lc_stable_at_10pct,
     }
-
-
-# A unit-root entry is the run's series name, then these fields in order.
-_UNIT_ROOT_FIELDS = tuple(f.name for f in dataclasses.fields(unitroot.UnitRootReport))
 
 
 def build_report(
@@ -613,27 +633,22 @@ def build_report(
     estimation: EstimationResult | None = None,
 ) -> dict:
     """Assemble the full machine-readable report document."""
-    rows = ingested.rows
+    data = ingested.rows
     doc = {
-        "config": config.metadata(rows[0].date),
+        "config": config.metadata(data.start),
         "input_digest": ingested.digest,
         "input_schema": ingested.schema,
-        "rows": len(rows),
-        "start": str(rows[0].date),
-        "end": str(rows[-1].date),
+        "rows": len(data),
+        "start": str(data.start),
+        "end": str(data.start.shift(len(data) - 1)),
         "unit_roots": None,
         "fmols": None,
         "delta_path": None,
         "correlation": None,
     }
     if unit_roots is not None:
-        doc["unit_roots"] = [
-            {
-                "series": run.series,
-                **{name: getattr(run.report, name) for name in _UNIT_ROOT_FIELDS},
-            }
-            for run in unit_roots
-        ]
+        # An entry is the run's series name, then its record's fields in order.
+        doc["unit_roots"] = [{"series": run.series, **vars(run.report)} for run in unit_roots]
     if estimation is not None:
         doc["fmols"] = _fmols_entry(estimation.fmols)
         doc["delta_path"] = [
@@ -661,6 +676,28 @@ def _key(key) -> str:
     return key
 
 
+def _json_records(rows: list | tuple, indent: str) -> str | None:
+    """The text of a list of dicts with one key order, each key's values all
+    floats or all strings (the delta path's rows), written a column at a
+    time; None for any other list."""
+    keys = list(rows[0]) if type(rows[0]) is dict else None
+    if not keys or any(type(row) is not dict or list(row) != keys for row in rows):
+        return None
+    columns = list(zip(*(row.values() for row in rows)))
+    kinds = [set(map(type, column)) for column in columns]
+    if any(kind not in ({float}, {str}) for kind in kinds):
+        return None
+    texts = [
+        ["null" if v is None else float.__repr__(v) for v in map(_round, column)]
+        if kind == {float} else list(map(encode_basestring_ascii, column))
+        for kind, column in zip(kinds, columns)
+    ]
+    inner, leaf = indent + "  ", ",\n" + indent + "    "
+    fields = leaf.join(encode_basestring_ascii(_key(k)).replace("%", "%%") + ": %s" for k in keys)
+    row = "{" + leaf[1:] + fields + "\n" + inner + "}"
+    return "[\n" + inner + (",\n" + inner).join(row % v for v in zip(*texts)) + "\n" + indent + "]"
+
+
 def _json_chunks(obj, indent: str, out: list) -> None:
     """Append the text json.dumps(indent=2) gives ``obj`` at nesting
     ``indent``, each float rounded by :func:`_round` as it is written."""
@@ -669,28 +706,22 @@ def _json_chunks(obj, indent: str, out: list) -> None:
         out.append("null" if value is None else float.__repr__(value))
     elif isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
-    elif isinstance(obj, dict):
+    elif isinstance(obj, (dict, list, tuple)):
+        brackets = "{}" if isinstance(obj, dict) else "[]"
         if not obj:
-            out.append("{}")
-            return
-        inner = indent + "  "
-        separator = "{\n" + inner
-        for key, value in obj.items():
-            out.append(separator + encode_basestring_ascii(_key(key)) + ": ")
-            _json_chunks(value, inner, out)
-            separator = ",\n" + inner
-        out.append("\n" + indent + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        inner = indent + "  "
-        separator = "[\n" + inner
-        for value in obj:
-            out.append(separator)
-            _json_chunks(value, inner, out)
-            separator = ",\n" + inner
-        out.append("\n" + indent + "]")
+            out.append(brackets)
+        elif brackets == "[]" and (text := _json_records(obj, indent)) is not None:
+            out.append(text)
+        else:
+            inner = indent + "  "
+            separator = brackets[0] + "\n" + inner
+            items = (((encode_basestring_ascii(_key(k)) + ": ", v) for k, v in obj.items())
+                     if isinstance(obj, dict) else (("", value) for value in obj))
+            for head, value in items:
+                out.append(separator + head)
+                _json_chunks(value, inner, out)
+                separator = ",\n" + inner
+            out.append("\n" + indent + brackets[1])
     elif obj is None:
         out.append("null")
     elif obj is True:

@@ -63,16 +63,28 @@ class MonthStamp:
 
     def shift(self, months: int) -> "MonthStamp":
         """The stamp ``months`` later (earlier if negative)."""
-        i = self.index + months
-        return MonthStamp(i // 12, i % 12 + 1)
+        return MonthStamp.from_index(self.index + months)
+
+    @classmethod
+    def from_index(cls, index: int) -> "MonthStamp":
+        """The stamp whose :attr:`index` is ``index``."""
+        return cls(index // 12, index % 12 + 1)
+
+    @staticmethod
+    def parse_index(text: str) -> int:
+        """The :attr:`index` of ``YYYY-MM`` text, without building a stamp."""
+        m = _DATE_RE.match(text.strip())
+        if m is None:
+            raise DataError(f"dates must be formatted YYYY-MM, got {text!r}")
+        year, month = map(int, m.groups())
+        if not 1 <= month <= 12:
+            MonthStamp(year, month)  # raises, with the constructor's message
+        return year * 12 + month - 1
 
     @classmethod
     def parse(cls, text: str) -> "MonthStamp":
         """Parse ``YYYY-MM``."""
-        m = _DATE_RE.match(text.strip())
-        if m is None:
-            raise DataError(f"dates must be formatted YYYY-MM, got {text!r}")
-        return cls(int(m.group(1)), int(m.group(2)))
+        return cls.from_index(cls.parse_index(text))
 
     def __str__(self) -> str:
         return _month_label(self.index)
@@ -111,11 +123,8 @@ class MonthlySeries:
     def __len__(self) -> int:
         return int(self.values.size)
 
-    def dates(self) -> list[MonthStamp]:
-        return [self.start.shift(k) for k in range(len(self))]
-
     def labels(self) -> list[str]:
-        """``str`` of each of :meth:`dates`, without building the stamps."""
+        """``YYYY-MM`` of each month, without building the stamps."""
         first = self.start.index
         return [_month_label(index) for index in range(first, first + len(self))]
 

@@ -66,6 +66,7 @@ __all__ = [
     "TREND_AND_INTERCEPT",
     "DETERMINISTIC_KINDS",
     "UnitRootReport",
+    "adf_reports",
     "adf_stack",
     "adf_test",
     "pp_test",
@@ -429,6 +430,13 @@ def adf_test(
     """
     stat, lag, nobs = adf_stack(s.values, spec, lags, max_lags)
     return _report("ADF", spec, float(stat), int(lag), int(nobs))
+
+
+def adf_reports(y: np.ndarray, spec: str = INTERCEPT, lags: int | None = None,
+                max_lags: int = 12) -> list[UnitRootReport]:
+    """The report of each row of a stack (S, n) y, as :func:`adf_stack` tests it."""
+    rows = zip(*(a.tolist() for a in adf_stack(y, spec, lags, max_lags)))
+    return [_report("ADF", spec, *row) for row in rows]
 
 
 def pp_test(

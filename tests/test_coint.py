@@ -1,6 +1,7 @@
 """Fully modified regression and the Lc stability statistic."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -292,6 +293,22 @@ class TestFmolsEquivariance:
             1e150 * base.standard_errors[-1], rel=1e-9
         )
         assert scaled.lc == pytest.approx(base.lc, rel=1e-9)
+
+    @pytest.mark.parametrize("origin", [1200, 24000, 96000])
+    def test_far_origin_scaled_standard_errors_stay_finite(self, origin):
+        # At a far trend origin the constant's variance factor is large, and
+        # with y and x scaled by 1e150 omega112 times it overflows although
+        # the standard error (about 3e154 at 24,000 months) does not.
+        sim = simulate_dgp(TABLE_COEFFS, 60, NOISE, 0)
+        y, x = sim.log_money_ratio.values, sim.oc_spread_log.values
+        base = coint.fmols_stack(y, x, coint.QUADRATIC_TREND, None, origin)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = coint.fmols_stack(1e150 * y, 1e150 * x, coint.QUADRATIC_TREND, None, origin)
+        assert np.isfinite(scaled.standard_errors).all()
+        # The trend terms scale with y; sigma, a ratio of y to x, does not.
+        expected = base.standard_errors * np.array([1e150, 1e150, 1e150, 1.0])
+        np.testing.assert_allclose(scaled.standard_errors, expected, rtol=1e-9)
 
     @pytest.mark.parametrize("months, rel", [(1200, 1e-8), (24000, 1e-6)])
     def test_far_trend_origin_keeps_lc(self, months, rel):

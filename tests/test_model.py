@@ -79,17 +79,36 @@ def utility(x_real, m_real, ms_real, delta, params):
 
 
 class TestModelParams:
+    # The FOCs raise balances to the CES exponent gamma = (sigma - 1)/sigma,
+    # which the model computes inside them; these tests compute it here.
+    @staticmethod
+    def _money_gap_by_hand(p, x, m, ms, delta, oc):
+        g = (p.sigma - 1.0) / p.sigma
+        power = delta * m**g + (1.0 - delta) * ms**g
+        return (p.theta / (1.0 - p.theta)) * x / power - (oc / delta) * m ** (1.0 - g)
+
     def test_gamma(self):
-        assert params(sigma=0.5).gamma == pytest.approx(-1.0)
-        assert params(sigma=2.0).gamma == pytest.approx(0.5)
+        # sigma 0.5 gives gamma -1 (a weighted harmonic mean), sigma 2 gives 1/2.
+        for sigma, g in ((0.5, -1.0), (2.0, 0.5)):
+            assert (sigma - 1.0) / sigma == g
+            p = params(sigma=sigma)
+            assert foc_money_gap(1.3, 0.7, 0.4, 0.3, 0.02, p) == pytest.approx(
+                self._money_gap_by_hand(p, 1.3, 0.7, 0.4, 0.3, 0.02), rel=1e-12
+            )
 
     def test_gamma_needs_positive_sigma(self):
+        # sigma = 0 is a valid parameter, but gamma, and so each FOC, is undefined.
         with pytest.raises(ParameterError):
-            _ = params(sigma=0.0).gamma
+            foc_money_gap(1.0, 1.0, 1.0, 0.5, 0.01, params(sigma=0.0))
 
     @given(st.floats(1e-6, 1e6))
     def test_gamma_below_one(self, sigma):
-        assert params(sigma=sigma).gamma < 1.0
+        assert (sigma - 1.0) / sigma < 1.0
+        if sigma > 0.02:  # below, 0.4^gamma leaves the floating-point range
+            p = params(sigma=sigma)
+            assert foc_money_gap(1.3, 0.7, 0.4, 0.3, 0.02, p) == pytest.approx(
+                self._money_gap_by_hand(p, 1.3, 0.7, 0.4, 0.3, 0.02), rel=1e-9, abs=1e-12
+            )
 
     @pytest.mark.parametrize(
         "kw",
@@ -234,7 +253,7 @@ class TestFirstOrderConditions:
     def test_solving_for_x_zeroes_the_gap(self):
         p = params(sigma=0.8, theta=0.35)
         m, ms, delta, oc = 1.7, 0.4, 0.3, 0.015
-        g = p.gamma
+        g = (p.sigma - 1.0) / p.sigma
         power = delta * m**g + (1.0 - delta) * ms**g
         x = (oc / delta) * m ** (1.0 - g) * power * (1.0 - p.theta) / p.theta
         assert foc_money_gap(x, m, ms, delta, oc, p) == pytest.approx(0.0, abs=1e-12)
@@ -284,7 +303,7 @@ class TestFocsAreTheUtilityMrs:
             m, ms, x = rng.uniform(0.1, 10.0, 3)
             oc_dom, oc_for = rng.uniform(0.001, 0.1, 2)
             p = params(sigma=sigma, theta=theta)
-            g = p.gamma
+            g = (sigma - 1.0) / sigma
 
             def partial(k):
                 lo, hi = [x, m, ms], [x, m, ms]
@@ -394,7 +413,7 @@ class TestSimulateDgp:
             TABLE_COEFFS, 40, self.NOISE, seed=1, start=MonthStamp(2010, 2)
         )
         assert sim.log_money_ratio.start == MonthStamp(2010, 2)
-        assert sim.eps.dates()[-1] == MonthStamp(2010, 2).shift(39)
+        assert sim.eps.labels()[-1] == str(MonthStamp(2010, 2).shift(39))
 
     def test_sample_size_floor(self):
         with pytest.raises(DataError):

@@ -5,20 +5,29 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
+import tempfile
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from currsub import coint, model
-from currsub.errors import DataError, DegeneracyError, IngestionError, ParameterError
+from currsub import coint, model, unitroot
+from currsub.errors import (
+    CurrsubError,
+    DataError,
+    DegeneracyError,
+    IngestionError,
+    ParameterError,
+)
 from currsub.model import DgpNoise, TrendCoefficients, simulate_dgp
 from currsub.pipeline import (
     SCHEMA_EUR_FX,
     SCHEMA_EUR_LEI,
-    DatasetRow,
+    Dataset,
     DerivedSeries,
     MonteCarloConfig,
     PipelineConfig,
@@ -69,14 +78,14 @@ class TestIngest:
         rows, schema = ingest_rows(CSV_FX)
         assert schema == "m_eur_fx"
         assert len(rows) == 3
-        assert rows[0].date == MonthStamp(2001, 9)
-        assert rows[0].fx == 2.5
+        assert rows.start == MonthStamp(2001, 9)
+        assert rows.fx[0] == 2.5
 
     def test_lei_schema_fixes_fx_at_one(self):
         rows, schema = ingest_rows(CSV_LEI)
         assert schema == "m_eur_lei"
         assert all(row.fx == 1.0 for row in rows)
-        assert rows[1].m_eur == 54.6
+        assert rows.m_eur[1] == 54.6
 
     def test_column_order_free(self):
         shuffled = (
@@ -85,7 +94,7 @@ class TestIngest:
         )
         rows, schema = ingest_rows(shuffled)
         assert schema == "m_eur_fx"
-        assert rows[0].m_eur == 20.0
+        assert rows.m_eur.tolist() == [20.0]
 
     def test_unsorted_rows_are_sorted(self):
         scrambled = CSV_FX.splitlines()
@@ -319,6 +328,227 @@ class TestIngestProperties:
             ingest_rows(_csv(columns, records))
 
 
+@dataclass(frozen=True)
+class _ReferenceRow:
+    """The row record the per-row ingest below builds, with its checks."""
+
+    date: MonthStamp
+    m_dom: float
+    m_eur: float
+    fx: float
+    i_dom: float
+    i_eur: float
+
+    def __post_init__(self):
+        for name in SCHEMA_EUR_FX[1:]:
+            if not math.isfinite(float(getattr(self, name))):
+                raise IngestionError(f"{self.date}: {name} is not finite")
+        if self.m_dom <= 0.0 or self.m_eur <= 0.0:
+            raise IngestionError(f"{self.date}: money stocks must be > 0")
+        if self.fx <= 0.0:
+            raise IngestionError(f"{self.date}: exchange rate must be > 0")
+        for name in ("i_dom", "i_eur"):
+            if getattr(self, name) <= -99.0:
+                raise IngestionError(f"{self.date}: {name} below -99% per annum")
+
+
+def _reference_ingest_rows(text):
+    """CSV ingestion one record at a time, each parsed into a checked row
+    object, then sorted and checked for contiguity: the form that
+    ``ingest_rows`` replaces, kept as its oracle."""
+    reader = csv.reader(io.StringIO(text, newline=None))
+
+    def records():
+        try:
+            for values in reader:
+                yield reader.line_num, values
+        except csv.Error as exc:
+            raise IngestionError(f"line {reader.line_num}: {exc}") from None
+
+    records = records()
+    _, names = next(records, (0, None))
+    if names is None:
+        raise IngestionError("empty input: no header row")
+    header = tuple(name.strip() for name in names)
+    repeated = sorted({name for name in header if header.count(name) > 1})
+    if repeated:
+        raise IngestionError(f"repeated columns in header: {repeated}")
+    if set(header) == set(SCHEMA_EUR_FX):
+        schema, order = "m_eur_fx", ("m_eur", "fx", "m_dom", "i_dom", "i_eur")
+    elif set(header) == set(SCHEMA_EUR_LEI):
+        schema, order = "m_eur_lei", ("m_eur_lei", "m_dom", "i_dom", "i_eur")
+    else:
+        raise IngestionError(
+            f"header {header} matches neither {SCHEMA_EUR_FX} nor {SCHEMA_EUR_LEI}"
+        )
+    column = {name: k for k, name in enumerate(header)}
+    months = []
+    for line, values in records:
+        if not values:
+            continue
+        if len(values) != len(header):
+            raise IngestionError(f"line {line}: wrong number of fields")
+        raw_date = values[column["date"]].strip()
+        try:
+            date = MonthStamp.parse(raw_date)
+        except DataError as exc:
+            raise IngestionError(f"line {line}: {exc}") from None
+        parsed = {}
+        for name in order:
+            raw = values[column[name]]
+            try:
+                parsed[name] = float(raw)
+            except ValueError:
+                raise IngestionError(f"{raw_date}: cannot parse {name}={raw!r}") from None
+        if schema == "m_eur_lei":
+            parsed["m_eur"], parsed["fx"] = parsed.pop("m_eur_lei"), 1.0
+        months.append((date.index, _ReferenceRow(date, **parsed)))
+    if not months:
+        raise IngestionError("no data rows")
+    months.sort(key=lambda pair: pair[0])
+    for (prev_index, prev), (index, cur) in zip(months, months[1:]):
+        if index == prev_index:
+            raise IngestionError(f"duplicate month {cur.date}")
+        if index != prev_index + 1:
+            raise IngestionError(
+                f"gap in months: missing {prev.date.shift(1)} between {prev.date} and {cur.date}"
+            )
+    return tuple(row for _, row in months), schema
+
+
+def _row_tuples(rows):
+    """Each row's month and the float.hex of its values, so -0.0 and 0.0 differ."""
+    return [(str(row.date), *(float(getattr(row, c)).hex() for c in SCHEMA_EUR_FX[1:]))
+            for row in rows]
+
+
+# Per kind of defect, the raw values it may put in a field of one record;
+# "fields", "duplicate" and "gap" change the record itself.
+_DEFECTS = {
+    "date": ["2001-13", "01-2001", "", "2001-1", "2001-00", " 2001/01 ", " 1999-13"],
+    "parse": ["abc", "", "1..2", "0x10"],
+    "nonfinite": ["nan", "inf", "-inf", "NaN"],
+    "stock": ["0", "-5.5", "-0.0"],
+    "fx": ["0", "-1"],
+    "rate": ["-99", "-150.25"],
+    "fields": [],
+    "duplicate": [],
+    "gap": [],
+}
+
+
+class TestIngestMatchesRowByRowReference:
+    @_PROPERTY_SETTINGS
+    @given(data=_datasets(), pick=st.data())
+    def test_two_defects_shuffled(self, data, pick):
+        columns, records = data
+        kinds = [kind for kind in _DEFECTS if kind != "fx" or "fx" in columns]
+        first, second = pick.draw(st.lists(st.sampled_from(kinds), min_size=2, max_size=2,
+                                           unique=True))
+        rows = pick.draw(st.lists(st.integers(0, len(records) - 1), min_size=2, max_size=2,
+                                  unique=True))
+        extra = {}  # record id -> extra field (True) or a dropped last field (False)
+        for kind, k in zip((first, second), rows):
+            rec = records[k]
+            if kind == "date":
+                rec["date"] = pick.draw(st.sampled_from(_DEFECTS[kind]))
+            elif kind == "fields":
+                extra[id(rec)] = pick.draw(st.booleans())
+            elif kind in ("duplicate", "gap"):
+                continue
+            else:
+                names = {
+                    "stock": [c for c in columns if c.startswith("m_")],
+                    "fx": ["fx"],
+                    "rate": ["i_dom", "i_eur"],
+                }.get(kind, list(columns[1:]))
+                rec[pick.draw(st.sampled_from(names))] = pick.draw(
+                    st.sampled_from(_DEFECTS[kind])
+                )
+        for kind, k in zip((first, second), rows):
+            if kind == "duplicate":
+                records.append(dict(records[k]))
+        gaps = [records[k] for kind, k in zip((first, second), rows) if kind == "gap"]
+        records = [rec for rec in records if all(rec is not gap for gap in gaps)]
+        records = pick.draw(st.permutations(records))
+        newline = pick.draw(st.sampled_from(["\n", "\r\n"]))
+        lines = [",".join(columns)]
+        for rec in records:
+            fields = [rec[name] for name in columns]
+            if id(rec) in extra:
+                fields = fields + ["1.0"] if extra[id(rec)] else fields[:-1]
+            lines.append(",".join(fields))
+        raw = (newline.join(lines) + newline).encode()
+        if pick.draw(st.booleans()):
+            raw = b"\xef\xbb\xbf" + raw
+
+        def outcome(run):
+            try:
+                rows, schema = run()
+            except CurrsubError as exc:
+                return type(exc), str(exc)
+            return _row_tuples(rows), schema
+
+        expected = outcome(lambda: _reference_ingest_rows(raw.decode("utf-8-sig")))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "data.csv")
+            with open(path, "wb") as handle:
+                handle.write(raw)
+            got = outcome(lambda: (lambda r: (r.rows, r.schema))(ingest(path)))
+        assert got == expected
+
+    @_PROPERTY_SETTINGS
+    @given(data=_datasets(), layout=st.data())
+    def test_valid_files_give_the_reference_rows(self, data, layout):
+        columns, records = data
+        text = _csv(
+            layout.draw(st.permutations(columns)),
+            layout.draw(st.permutations(records)),
+            newline=layout.draw(st.sampled_from(["\n", "\r\n", "\r"])),
+        )
+        rows, schema = ingest_rows(text)
+        reference, reference_schema = _reference_ingest_rows(text)
+        assert schema == reference_schema
+        assert _row_tuples(rows) == _row_tuples(reference)
+        assert rows.start == reference[0].date and len(rows) == len(reference)
+
+
+class TestDataset:
+    def _columns(self):
+        return {"m_dom": [100.0, 102.0], "m_eur": [20.0, 21.0], "fx": [2.5, 2.6],
+                "i_dom": [34.0, 33.0], "i_eur": [4.0, 4.1]}
+
+    def test_columns_are_copied_and_read_only(self):
+        columns = {name: np.array(values) for name, values in self._columns().items()}
+        data = Dataset(START, **columns)
+        columns["m_dom"][0] = -1.0
+        assert data.m_dom.tolist() == [100.0, 102.0]
+        with pytest.raises(ValueError):
+            data.fx[0] = 1.0
+
+    def test_rows_equality_and_length(self):
+        data = Dataset(START, **self._columns())
+        assert len(data) == 2
+        assert [tuple(row) for row in data] == [
+            (START, 100.0, 20.0, 2.5, 34.0, 4.0),
+            (START.shift(1), 102.0, 21.0, 2.6, 33.0, 4.1),
+        ]
+        assert data == Dataset(START, **self._columns())
+        assert data != Dataset(START.shift(1), **self._columns())
+        assert data != Dataset(START, **{**self._columns(), "fx": [2.5, 2.7]})
+
+    def test_first_month_breaking_a_rule_is_refused(self):
+        columns = {**self._columns(), "fx": [2.5, 0.0], "i_eur": [-99.0, 4.1]}
+        with pytest.raises(IngestionError, match="^2001-09: i_eur below -99% per annum$"):
+            Dataset(START, **columns)
+        with pytest.raises(IngestionError, match="^2001-10: exchange rate must be > 0$"):
+            Dataset(START, **{**columns, "i_eur": [4.0, 4.1]})
+
+    def test_ragged_columns_refused(self):
+        with pytest.raises(DataError, match="1-D and of one length"):
+            Dataset(START, **{**self._columns(), "m_eur": [20.0]})
+
+
 class TestDeriveSeries:
     def test_balanced_stocks_zero_log_ratio(self):
         text = (
@@ -406,6 +636,38 @@ class TestRunUnitRoots:
         x = MonthlySeries(START, rng.standard_normal(171) * 0.05)
         runs = run_unit_roots(DerivedSeries(y, x), CONFIG)
         assert all(r.report.reject_at["5%"] for r in runs)
+
+    def test_refusal_is_the_first_cell_of_the_lone_grid(self):
+        # The spread is constant, so its ADF refuses: oc_spread_log's first
+        # cell, grid cell 5. A bandwidth longer than the sample makes the log
+        # money ratio's PP refuse first, in grid cell 3, though the ADF runs
+        # of both series come before any PP run.
+        rng = np.random.default_rng(0)
+        y = MonthlySeries(START, np.cumsum(rng.standard_normal(171)) * 0.05)
+        x = MonthlySeries(START, np.full(171, 1.7))
+        with pytest.raises(DegeneracyError):
+            unitroot.adf_test(x, unitroot.INTERCEPT)
+        message = "bandwidth 1000 too large for 170 residuals"
+        with pytest.raises(DataError, match=f"^{message}$"):
+            run_unit_roots(DerivedSeries(y, x), PipelineConfig(bandwidth=1000))
+
+    def test_grid_equals_the_lone_runs(self):
+        for seed, config in ((0, CONFIG), (1, PipelineConfig(lags=2, bandwidth=6)), (2, CONFIG)):
+            derived = derived_from_sim(simulate_dgp(TABLE_COEFFS, 171, NOISE, seed))
+            lone = [
+                (name, test(getattr(derived, name), spec, **settings))
+                for name in ("log_money_ratio", "oc_spread_log")
+                for test, settings in (
+                    (unitroot.adf_test, {"lags": config.lags, "max_lags": config.max_lags}),
+                    (unitroot.pp_test, {"bandwidth": config.bandwidth}),
+                )
+                for spec in unitroot.DETERMINISTIC_KINDS
+            ]
+            runs = run_unit_roots(derived, config)
+            assert [(run.series, run.report) for run in runs] == lone
+            assert [run.report.statistic.hex() for run in runs] == [
+                report.statistic.hex() for _, report in lone
+            ]
 
     def test_fixed_lag_config_respected(self):
         sim = simulate_dgp(TABLE_COEFFS, 171, NOISE, 1)
@@ -738,6 +1000,16 @@ _REFERENCE_DOC = {
 }
 
 
+# Report floats of every kind: NaN, infinities, signed zeros, subnormal,
+# tiny and huge values, and np.float64, whose repr differs from a float's.
+_REPORT_FLOATS = (
+    st.floats()
+    | st.floats().map(np.float64)
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-300,
+                       1.7976931348623157e308, 123456789.0, 1234567891.0, 0.1 + 0.2])
+)
+
+
 class TestRendererReference:
     @pytest.mark.parametrize("output_format", ["json", "csv"])
     def test_edge_cases_match_reference(self, output_format):
@@ -757,6 +1029,47 @@ class TestRendererReference:
             _reference_render(doc, output_format)
         with pytest.raises(TypeError):
             render_report(doc, output_format)
+
+    @pytest.mark.parametrize("output_format", ["json", "csv"])
+    def test_montecarlo_document_matches_reference(self, output_format):
+        mc = MonteCarloConfig(n_seeds=10, n_obs=120, coeffs=TABLE_COEFFS, noise=NOISE)
+        doc = {"config": CONFIG.metadata(), "input_digest": None, "montecarlo": run_montecarlo(mc)}
+        assert render_report(doc, output_format) == _reference_render(doc, output_format)
+
+    @_PROPERTY_SETTINGS
+    @given(
+        rows=st.lists(
+            st.fixed_dictionaries(
+                {"date": st.text(max_size=8), "ratio": _REPORT_FLOATS, "delta": _REPORT_FLOATS}
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        change=st.data(),
+        output_format=st.sampled_from(["json", "csv"]),
+    )
+    def test_random_delta_path_rows_match_reference(self, rows, change, output_format):
+        # Rows of one shape are written a column at a time; a row that
+        # breaks the shape sends the list through the general walk.
+        k = change.draw(st.integers(0, len(rows) - 1))
+        edit = change.draw(st.sampled_from(["none", "value", "drop", "add", "reorder", "key"]))
+        row = rows[k]
+        if edit == "value":
+            row["ratio"] = change.draw(st.none() | st.integers() | st.booleans() | st.just([1.5]))
+        elif edit == "drop":
+            del row["delta"]
+        elif edit == "add":
+            row["extra"] = 1.5
+        elif edit == "reorder":
+            rows[k] = dict(reversed(row.items()))
+        elif edit == "key":
+            rows[k] = {**row, 7: 1.0}
+        doc = {"config": CONFIG.metadata(), "delta_path": rows, "correlation": 0.25}
+        if edit == "key":  # json.dumps would write it as "7"; the renderer refuses it
+            with pytest.raises(TypeError, match="^keys must be str, not int$"):
+                render_report(doc, output_format)
+        else:
+            assert render_report(doc, output_format) == _reference_render(doc, output_format)
 
     def test_json_keys_that_are_not_strings(self):
         # Every report key is a string; json.dumps would coerce these.

@@ -65,7 +65,7 @@ class TestMonthlySeries:
     def test_basic_accessors(self):
         s = MonthlySeries(MonthStamp(2001, 9), [1.0, 2.0, 3.0])
         assert len(s) == 3
-        assert [str(d) for d in s.dates()] == ["2001-09", "2001-10", "2001-11"]
+        assert s.labels() == ["2001-09", "2001-10", "2001-11"]
 
     def test_values_are_frozen_and_copied(self):
         buf = np.array([1.0, 2.0, 3.0])

@@ -39,11 +39,12 @@ The fourth line, ``ingest: <files> files, sha256:<hex>``, covers CSV
 ingestion. Each draw of the grid is written in both input schemas (the
 lei schema's ``m_eur_lei`` is fx * m_eur) and each of those as LF, CRLF
 and BOM+CRLF bytes. For each such file the hash takes the
-``ingest-check`` report rendered as JSON and as CSV and ``float.hex`` of
-every field of every row. Five broken copies of each draw's LF file in
-each schema (a month left out, a month repeated, a bad date, a row with
-one field too many, a ``nan`` value) add their refusal messages. No
-file holds a blank line. ``<files>`` counts every file ingested.
+``ingest-check`` report rendered as JSON and as CSV and, month by
+month, ``float.hex`` of every column of the dataset. Five broken copies
+of each draw's LF file in each schema (a month left out, a month
+repeated, a bad date, a row with one field too many, a ``nan`` value)
+add their refusal messages. No file holds a blank line. ``<files>``
+counts every file ingested.
 
 The fifth line, ``fmols stack: <stacks> stacks, sha256:<hex>``, covers
 the stacked FM-OLS rows that the Monte Carlo reads, whose Lc bits the
@@ -222,9 +223,10 @@ def _ingest_file(path: str, raw: bytes) -> list[bytes]:
         config = pipeline.PipelineConfig(output_format=output_format)
         doc = pipeline.build_report(config, ingested)
         chunks.append(pipeline.render_report(doc, output_format).encode())
-    for row in ingested.rows:
-        fields = [getattr(row, name) for name in pipeline.SCHEMA_EUR_FX[1:]]
-        chunks.append(f"{row.date} ".encode() + _hex_line(fields))
+    data = ingested.rows
+    columns = [getattr(data, name).tolist() for name in pipeline.SCHEMA_EUR_FX[1:]]
+    for k, fields in enumerate(zip(*columns)):
+        chunks.append(f"{data.start.shift(k)} ".encode() + _hex_line(fields))
     return chunks
 
 
