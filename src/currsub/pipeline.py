@@ -13,8 +13,7 @@ the CLI layer owns argument parsing and process exit codes.
 Serialization rule: every float in an emitted report is rounded to 9
 significant digits, which makes repeated runs byte-identical and report
 files diffable. :func:`render_report` walks the report document once and
-rounds each float as it writes it (the JSON of a list of flat records,
-such as the delta path, a column at a time); its JSON is the text that
+rounds each float as it writes it; its JSON is the text that
 ``json.dumps(indent=2, allow_nan=False)`` gives the rounded document
 (report keys are strings; both formats refuse any other key with
 ``TypeError``), and its CSV has one row per value.
@@ -676,28 +675,6 @@ def _key(key) -> str:
     return key
 
 
-def _json_records(rows: list | tuple, indent: str) -> str | None:
-    """The text of a list of dicts with one key order, each key's values all
-    floats or all strings (the delta path's rows), written a column at a
-    time; None for any other list."""
-    keys = list(rows[0]) if type(rows[0]) is dict else None
-    if not keys or any(type(row) is not dict or list(row) != keys for row in rows):
-        return None
-    columns = list(zip(*(row.values() for row in rows)))
-    kinds = [set(map(type, column)) for column in columns]
-    if any(kind not in ({float}, {str}) for kind in kinds):
-        return None
-    texts = [
-        ["null" if v is None else float.__repr__(v) for v in map(_round, column)]
-        if kind == {float} else list(map(encode_basestring_ascii, column))
-        for kind, column in zip(kinds, columns)
-    ]
-    inner, leaf = indent + "  ", ",\n" + indent + "    "
-    fields = leaf.join(encode_basestring_ascii(_key(k)).replace("%", "%%") + ": %s" for k in keys)
-    row = "{" + leaf[1:] + fields + "\n" + inner + "}"
-    return "[\n" + inner + (",\n" + inner).join(row % v for v in zip(*texts)) + "\n" + indent + "]"
-
-
 def _json_chunks(obj, indent: str, out: list) -> None:
     """Append the text json.dumps(indent=2) gives ``obj`` at nesting
     ``indent``, each float rounded by :func:`_round` as it is written."""
@@ -706,22 +683,28 @@ def _json_chunks(obj, indent: str, out: list) -> None:
         out.append("null" if value is None else float.__repr__(value))
     elif isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
-    elif isinstance(obj, (dict, list, tuple)):
-        brackets = "{}" if isinstance(obj, dict) else "[]"
+    elif isinstance(obj, dict):
         if not obj:
-            out.append(brackets)
-        elif brackets == "[]" and (text := _json_records(obj, indent)) is not None:
-            out.append(text)
-        else:
-            inner = indent + "  "
-            separator = brackets[0] + "\n" + inner
-            items = (((encode_basestring_ascii(_key(k)) + ": ", v) for k, v in obj.items())
-                     if isinstance(obj, dict) else (("", value) for value in obj))
-            for head, value in items:
-                out.append(separator + head)
-                _json_chunks(value, inner, out)
-                separator = ",\n" + inner
-            out.append("\n" + indent + brackets[1])
+            out.append("{}")
+            return
+        inner = indent + "  "
+        separator = "{\n" + inner
+        for key, value in obj.items():
+            out.append(separator + encode_basestring_ascii(_key(key)) + ": ")
+            _json_chunks(value, inner, out)
+            separator = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        separator = "[\n" + inner
+        for value in obj:
+            out.append(separator)
+            _json_chunks(value, inner, out)
+            separator = ",\n" + inner
+        out.append("\n" + indent + "]")
     elif obj is None:
         out.append("null")
     elif obj is True:

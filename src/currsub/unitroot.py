@@ -31,8 +31,8 @@ package's one Dickey-Fuller fit serves both tests.
 at once: one R-only QR of the stacked widest designs and one of the
 stacked refit problems, whatever orders the rows chose. It returns
 arrays, the statistic, lag and sample size of every row, and builds no
-record: :func:`adf_test`, its one-series case, builds the one
-:class:`UnitRootReport` a caller reads. Each row gets the bits it gets
+record: :func:`adf_reports` builds each row's :class:`UnitRootReport`,
+and :func:`adf_test` is its one-series case. Each row gets the bits it gets
 alone, under the contiguity rule of :mod:`currsub._ols`: a row's arrays
 have shapes set by n, the spec and max_lags, never by the other rows,
 the vectors that are reduced or multiplied are C-contiguous, and the
@@ -426,17 +426,17 @@ def adf_test(
     candidates are nested, so dropping trailing columns moves exactly
     their Q'y components into the residual. The refit is read off the
     same R (see the module docstring). This is the one-series case of
-    :func:`adf_stack`.
+    :func:`adf_reports`.
     """
-    stat, lag, nobs = adf_stack(s.values, spec, lags, max_lags)
-    return _report("ADF", spec, float(stat), int(lag), int(nobs))
+    return adf_reports(s.values, spec, lags, max_lags)[0]
 
 
 def adf_reports(y: np.ndarray, spec: str = INTERCEPT, lags: int | None = None,
                 max_lags: int = 12) -> list[UnitRootReport]:
-    """The report of each row of a stack (S, n) y, as :func:`adf_stack` tests it."""
-    rows = zip(*(a.tolist() for a in adf_stack(y, spec, lags, max_lags)))
-    return [_report("ADF", spec, *row) for row in rows]
+    """The report of each row of a stack (S, n) y, or of one (n,) series,
+    as :func:`adf_stack` tests it."""
+    arrays = (np.atleast_1d(a).tolist() for a in adf_stack(y, spec, lags, max_lags))
+    return [_report("ADF", spec, *row) for row in zip(*arrays)]
 
 
 def pp_test(

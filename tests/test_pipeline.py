@@ -1049,8 +1049,8 @@ class TestRendererReference:
         output_format=st.sampled_from(["json", "csv"]),
     )
     def test_random_delta_path_rows_match_reference(self, rows, change, output_format):
-        # Rows of one shape are written a column at a time; a row that
-        # breaks the shape sends the list through the general walk.
+        # Delta-path rows, one of them possibly changed in shape or value
+        # type, render as the reference renders them.
         k = change.draw(st.integers(0, len(rows) - 1))
         edit = change.draw(st.sampled_from(["none", "value", "drop", "add", "reorder", "key"]))
         row = rows[k]
