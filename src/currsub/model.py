@@ -111,7 +111,12 @@ def annual_to_monthly_cost(phi_annual: float) -> float:
         raise ParameterError(
             f"annual cost must exceed -100%, got {phi_annual}"
         )
-    return math.expm1(math.log1p(phi_annual) / 12.0)
+    return _monthly_cost(phi_annual)
+
+
+def _monthly_cost(annual: float) -> float:
+    """(1 + annual)**(1/12) - 1 of a finite rate above -1, unchecked."""
+    return math.expm1(math.log1p(annual) / 12.0)
 
 
 def opportunity_cost(i_next: float, phi_monthly: float) -> float:
@@ -231,33 +236,47 @@ def relative_demand_log(
     )
 
 
-def delta_ratio_at(t: float, coeffs: TrendCoefficients) -> float:
+def _path_exponent(t, coeffs: TrendCoefficients) -> np.ndarray:
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan, as floats give them
+        return coeffs.trend_at(np.asarray(t, dtype=float)) / coeffs.sigma
+
+
+def _exp_each(q: np.ndarray) -> np.ndarray:  # math.exp: np.exp can differ in the last bit
+    return np.array(list(map(math.exp, q.ravel().tolist()))).reshape(q.shape)
+
+
+def delta_ratio_at(t, coeffs: TrendCoefficients):
     """The share ratio (1-delta)/delta at month index ``t`` on the fitted
     deterministic path: exp((v0 + v1*t + v2*t^2)/sigma), the trend
     equation inverted with the disturbance at zero. ``t`` counts months
-    from the trend origin.
+    from the trend origin; an array of them gives an array of ratios.
     """
+    q = _path_exponent(t, coeffs)
     try:
-        return math.exp(coeffs.trend_at(float(t)) / coeffs.sigma)
+        ratio = _exp_each(q)
     except OverflowError:
-        raise DegeneracyError(f"share ratio overflows at t={t}") from None
+        for k, value in enumerate(q.ravel().tolist()):  # the first month to overflow
+            try:
+                math.exp(value)
+            except OverflowError:
+                raise DegeneracyError(f"share ratio overflows at t={np.ravel(t)[k]}") from None
+    return ratio if np.ndim(t) else float(ratio)
 
 
-def delta_at(t: float, coeffs: TrendCoefficients) -> float:
+def delta_at(t, coeffs: TrendCoefficients):
     """The share delta = 1/(1 + ratio) at month index ``t`` on the same
-    path as :func:`delta_ratio_at`; always in (0, 1).
+    path as :func:`delta_ratio_at`; always in (0, 1). An array of month
+    indices gives an array of shares.
 
     For trends extreme enough to underflow the logistic, the result
     saturates at the nearest double inside the open interval.
     """
-    q = coeffs.trend_at(float(t)) / coeffs.sigma
+    q = _path_exponent(t, coeffs)
     # Logistic evaluated on the dominant side so neither exp overflows.
-    if q >= 0.0:
-        e = math.exp(-q)
-        value = e / (1.0 + e)
-    else:
-        value = 1.0 / (1.0 + math.exp(q))
-    return min(max(value, math.nextafter(0.0, 1.0)), math.nextafter(1.0, 0.0))
+    e = _exp_each(-np.abs(q))
+    value = np.where(q >= 0.0, e / (1.0 + e), 1.0 / (1.0 + e))
+    value = np.minimum(np.maximum(value, math.nextafter(0.0, 1.0)), math.nextafter(1.0, 0.0))
+    return value if np.ndim(t) else float(value)
 
 
 @dataclass(frozen=True)

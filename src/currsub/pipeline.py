@@ -6,14 +6,15 @@ draws can be pushed through the exact same path, and a Monte Carlo
 driver for validating the estimators, which runs its seeds in blocks
 through the stacked kernels (see :func:`run_montecarlo`). A dataset is
 columnar (:class:`Dataset`): ingest builds no object per row, derivation
-runs a column at a time, and the unit-root grid tests both series as one
-ADF stack per spec. Everything here is a pure function of its inputs;
+runs a column at a time, the unit-root grid tests both series as one
+ADF and one PP stack per spec, and the share path is evaluated on the
+whole month column. Everything here is a pure function of its inputs;
 the CLI layer owns argument parsing and process exit codes.
 
 Serialization rule: every float in an emitted report is rounded to 9
 significant digits, which makes repeated runs byte-identical and report
 files diffable. :func:`render_report` walks the report document once and
-rounds each float as it writes it; its JSON is the text that
+writes each float as :func:`_float_text` gives it; its JSON is the text that
 ``json.dumps(indent=2, allow_nan=False)`` gives the rounded document
 (report keys are strings; both formats refuse any other key with
 ``TypeError``), and its CSV has one row per value.
@@ -329,8 +330,8 @@ def derive_series(data: Dataset, config: PipelineConfig) -> DerivedSeries:
     phi_monthly = model.annual_to_monthly_cost(config.phi_annual)
     with np.errstate(over="ignore"):  # an infinite ratio is refused below
         ratio = data.fx * data.m_eur / data.m_dom
-    # A dataset's rates exceed -99% a year, so every monthly rate exceeds -1.
-    rates = [np.array(list(map(model.annual_to_monthly_cost, (pct / 100.0).tolist())))
+    # A dataset's rates are finite and exceed -99% a year: none is checked again.
+    rates = [np.array(list(map(model._monthly_cost, (pct / 100.0).tolist())))
              for pct in (data.i_dom, data.i_eur)]
     bad = ~((0.0 < ratio) & (ratio < math.inf) & (np.minimum(*rates) + phi_monthly > 0.0))
     if bad.any():
@@ -354,27 +355,27 @@ def derive_series(data: Dataset, config: PipelineConfig) -> DerivedSeries:
 def run_unit_roots(
     derived: DerivedSeries, config: PipelineConfig
 ) -> tuple[UnitRootRun, ...]:
-    """The 2 series x 2 tests x 2 deterministic specs report grid; the ADF
-    test runs both series as one stack per spec, each row with its lone
-    run's bits (:func:`unitroot.adf_stack`). If a stack refuses, the grid
-    runs cell by cell, in report order, to raise the first refusal."""
+    """The 2 series x 2 tests x 2 deterministic specs report grid; each test
+    runs both series as one stack per spec, each row with its lone run's bits
+    (``unitroot.adf_stack``, ``pp_stack``). If a stack refuses, the grid runs
+    cell by cell, in report order, to raise the first refusal."""
     names, kinds = ("log_money_ratio", "oc_spread_log"), unitroot.DETERMINISTIC_KINDS
+    adf = {"lags": config.lags, "max_lags": config.max_lags}
     # Looked up per call, so a wrapper swapped into unitroot is honoured.
-    tests = (
-        (unitroot.adf_test, {"lags": config.lags, "max_lags": config.max_lags}),
-        (unitroot.pp_test, {"bandwidth": config.bandwidth}),
-    )
+    tests = ((unitroot.adf_test, unitroot.adf_reports, adf),
+             (unitroot.pp_test, unitroot.pp_reports, {"bandwidth": config.bandwidth}))
     try:
         stack = np.stack([getattr(derived, name).values for name in names])
-        adf = {spec: unitroot.adf_reports(stack, spec, **tests[0][1]) for spec in kinds}
+        stacked = [[reports(stack, spec, **settings) for spec in kinds]
+                   for _, reports, settings in tests]
     except CurrsubError:
-        adf = {}
+        stacked = None
     return tuple(
-        UnitRootRun(series=name, report=adf[spec][j] if adf and t == 0
+        UnitRootRun(series=name, report=stacked[t][k][j] if stacked
                     else test(getattr(derived, name), spec, **settings))
         for j, name in enumerate(names)
-        for t, (test, settings) in enumerate(tests)
-        for spec in kinds
+        for t, (test, _, settings) in enumerate(tests)
+        for k, spec in enumerate(kinds)
     )
 
 
@@ -405,11 +406,9 @@ def run_estimation(derived: DerivedSeries, config: PipelineConfig) -> Estimation
             "share path undefined"
         )
     coeffs = report.trend_coefficients()
-    offset = y.start.index - origin.index
-    ratio = np.array(
-        [model.delta_ratio_at(offset + k, coeffs) for k in range(len(y))]
-    )
-    delta = np.array([model.delta_at(offset + k, coeffs) for k in range(len(y))])
+    months = y.start.index - origin.index + np.arange(len(y))
+    ratio = model.delta_ratio_at(months, coeffs)
+    delta = model.delta_at(months, coeffs)
     return EstimationResult(
         fmols=report,
         correlation=corr,
@@ -582,10 +581,6 @@ def dataset_rows_from_simulation(
     return Dataset(start, *np.array(rows).T)
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".9g")
-
-
 def dataset_csv_text(rows: Dataset) -> str:
     """Render rows, such as a :class:`Dataset`'s, in the primary input schema.
 
@@ -662,9 +657,17 @@ def build_report(
     return doc
 
 
-def _round(value: float) -> float | None:
-    """A report float: 9 significant digits, None where it is not finite."""
-    return float(_fmt(value)) if math.isfinite(value) else None
+def _float_text(value: float) -> str | None:
+    """A report float's text, the repr of its value at 9 significant digits,
+    or None where it is not finite. An exponent form is reparsed: repr writes
+    1e9 <= |v| < 1e16 in full, and a subnormal's 9 digits can be longer
+    than its shortest ones (4.94065646e-324 for 5e-324)."""
+    if not math.isfinite(value):
+        return None
+    text = format(value, ".9g")
+    if "e" in text:
+        return float.__repr__(float(text))
+    return text if "." in text else text + ".0"
 
 
 def _key(key) -> str:
@@ -677,10 +680,10 @@ def _key(key) -> str:
 
 def _json_chunks(obj, indent: str, out: list) -> None:
     """Append the text json.dumps(indent=2) gives ``obj`` at nesting
-    ``indent``, each float rounded by :func:`_round` as it is written."""
+    ``indent``, each float written by :func:`_float_text`."""
     if isinstance(obj, float):
-        value = _round(obj)
-        out.append("null" if value is None else float.__repr__(value))
+        text = _float_text(obj)
+        out.append("null" if text is None else text)
     elif isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
     elif isinstance(obj, dict):
@@ -755,7 +758,7 @@ def _csv_rows(section, payload, prefix: str, rows: list) -> None:
             _csv_rows(section, value, f"{prefix}{idx}.", rows)
     else:
         if isinstance(payload, float):
-            payload = _round(payload)
+            payload = _float_text(payload)
         elif not (payload is None or isinstance(payload, (int, str))):
             raise TypeError(f"cannot serialize {type(payload).__name__}")
         rows.append([section, prefix.rstrip("."), "" if payload is None else payload])
@@ -767,5 +770,5 @@ def render_delta_path_csv(estimation: EstimationResult) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["date", "ratio"])
-    writer.writerows(zip(path.labels(), map(_fmt, path.values.tolist())))
+    writer.writerows(zip(path.labels(), (format(v, ".9g") for v in path.values.tolist())))
     return out.getvalue()

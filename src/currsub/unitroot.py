@@ -27,17 +27,18 @@ R is already its fit. The PP test is that fit at lag 0, its residuals
 (lhs - design beta, with beta from R) and the Bartlett correction: the
 package's one Dickey-Fuller fit serves both tests.
 
-:func:`adf_stack` runs the ADF test on every row of a stack of series
-at once: one R-only QR of the stacked widest designs and one of the
-stacked refit problems, whatever orders the rows chose. It returns
-arrays, the statistic, lag and sample size of every row, and builds no
-record: :func:`adf_reports` builds each row's :class:`UnitRootReport`,
-and :func:`adf_test` is its one-series case. Each row gets the bits it gets
-alone, under the contiguity rule of :mod:`currsub._ols`: a row's arrays
-have shapes set by n, the spec and max_lags, never by the other rows,
-the vectors that are reduced or multiplied are C-contiguous, and the
-design columns are slices, not indexed copies, of the series. A row
-that refuses refuses the stack with its own error.
+:func:`adf_stack` and :func:`pp_stack` run their test on every row of a
+stack of series at once, with one R-only QR of the stacked designs (the
+ADF adds one of its stacked refit problems, whatever orders the rows
+chose). They return arrays, the statistic, lag or bandwidth and sample
+size of every row: :func:`adf_reports` and :func:`pp_reports` build the
+records, and :func:`adf_test` and :func:`pp_test` are their one-series
+cases. Each row gets the bits it gets alone, under the contiguity rule
+of :mod:`currsub._ols`: a row's arrays have shapes set by n, the spec
+and max_lags, never by the other rows, the vectors that are reduced or
+multiplied are C-contiguous, and the design columns are slices, not
+indexed copies, of the series. A row that refuses refuses the stack with
+its own error.
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ from ._ols import (
     unit_rms,
 )
 from .errors import DataError, DegeneracyError, ParameterError
-from .lrcov import bartlett_long_run_variance, newey_west_bandwidth
+# perfbench's lrcov layer also reaches unitroot.bartlett_long_run_variance by name.
+from .lrcov import _bartlett_sum, _two_sided, bartlett_long_run_variance, newey_west_bandwidth
 from .series import MonthlySeries
 
 __all__ = [
@@ -69,6 +71,8 @@ __all__ = [
     "adf_reports",
     "adf_stack",
     "adf_test",
+    "pp_reports",
+    "pp_stack",
     "pp_test",
     "mackinnon_critical_values",
     "mackinnon_p_value",
@@ -163,7 +167,7 @@ class UnitRootReport:
 
     ``lags_or_bandwidth`` is the augmentation lag count for ADF and the
     kernel bandwidth for PP. ``reject_at`` is statistic < critical value
-    at every level. Plain data: :func:`_report` builds it.
+    at every level. Plain data: :func:`_reports` builds it.
     """
 
     test: str
@@ -176,22 +180,26 @@ class UnitRootReport:
     n_obs: int
 
 
-def _report(test: str, kind: str, statistic: float, lags_or_bw: int, nobs: int) -> UnitRootReport:
-    cvs = mackinnon_critical_values(kind, nobs)
-    p_value = mackinnon_p_value(float(statistic), kind)
-    # Only a NaN statistic gives a p-value outside [0, 1].
-    if not 0.0 <= p_value <= 1.0:
-        raise ParameterError(f"p-value outside [0, 1]: {p_value}")
-    return UnitRootReport(
-        test=test,
-        spec=kind,
-        statistic=float(statistic),
-        lags_or_bandwidth=int(lags_or_bw),
-        critical_values=cvs,
-        approx_p_value=p_value,
-        reject_at={level: float(statistic) < cvs[level] for level in SIGNIFICANCE_LEVELS},
-        n_obs=int(nobs),
-    )
+def _reports(test: str, kind: str, arrays) -> list[UnitRootReport]:
+    """The record of each row of a stack test's (statistic, lags or bandwidth, n_obs)."""
+    reports = []
+    for statistic, lags_or_bw, nobs in zip(*(np.atleast_1d(a).tolist() for a in arrays)):
+        cvs = mackinnon_critical_values(kind, nobs)
+        p_value = mackinnon_p_value(statistic, kind)
+        # Only a NaN statistic gives a p-value outside [0, 1].
+        if not 0.0 <= p_value <= 1.0:
+            raise ParameterError(f"p-value outside [0, 1]: {p_value}")
+        reports.append(UnitRootReport(
+            test=test,
+            spec=kind,
+            statistic=statistic,
+            lags_or_bandwidth=lags_or_bw,
+            critical_values=cvs,
+            approx_p_value=p_value,
+            reject_at={level: statistic < cvs[level] for level in SIGNIFICANCE_LEVELS},
+            n_obs=nobs,
+        ))
+    return reports
 
 
 def _df_rows(y: np.ndarray, kind: str, max_lags: int) -> np.ndarray:
@@ -405,7 +413,7 @@ def adf_stack(
     _, *fit = _level_fit(search, r, best)
     stats = _t_ratio(*fit)
     if np.isnan(stats).any():
-        # A NaN statistic has no p-value; refused as _report refuses it.
+        # A NaN statistic has no p-value; refused as _reports refuses it.
         raise ParameterError("p-value outside [0, 1]: nan")
     return stats, best, n - 1 - best
 
@@ -419,14 +427,10 @@ def adf_test(
     """Augmented Dickey-Fuller test; the null is a unit root.
 
     ``lags`` fixes the augmentation order; when None, the order is
-    chosen by AIC over 0..``max_lags``, evaluated on the common sample
-    that the largest candidate allows, then refit on the full sample the
-    winning order allows. One R-only QR of the widest candidate design,
-    with the lhs as its last column, gives every candidate's SSR: the
-    candidates are nested, so dropping trailing columns moves exactly
-    their Q'y components into the residual. The refit is read off the
-    same R (see the module docstring). This is the one-series case of
-    :func:`adf_reports`.
+    chosen by AIC over 0..``max_lags`` on the common sample that the
+    largest candidate allows, then refit on the full sample the winning
+    order allows (see the module docstring). This is the one-series case
+    of :func:`adf_reports`.
     """
     return adf_reports(s.values, spec, lags, max_lags)[0]
 
@@ -435,8 +439,57 @@ def adf_reports(y: np.ndarray, spec: str = INTERCEPT, lags: int | None = None,
                 max_lags: int = 12) -> list[UnitRootReport]:
     """The report of each row of a stack (S, n) y, or of one (n,) series,
     as :func:`adf_stack` tests it."""
-    arrays = (np.atleast_1d(a).tolist() for a in adf_stack(y, spec, lags, max_lags))
-    return [_report("ADF", spec, *row) for row in zip(*arrays)]
+    return _reports("ADF", spec, adf_stack(y, spec, lags, max_lags))
+
+
+def pp_stack(y: np.ndarray, spec: str = INTERCEPT,
+             bandwidth: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Phillips-Perron Z-tau test of each row of (S, n) finite y: the
+    (statistic, bandwidth, n_obs) arrays, of shape (S,), or 0-d for a
+    series y of shape (n,), which is :func:`pp_test`'s case.
+
+    The fit is the ADF's at a fixed lag 0, its residuals take one
+    Bartlett sum as (S, n - 1, 1) columns, and every row is computed as
+    it would be alone. A row's refusal refuses the stack; they run in
+    this order: too few observations, the rows and pivot gates, the
+    bandwidth, then those of the t-ratio and a zero long-run variance.
+
+    The exact-fit check reads the SSR as R's corner squared, not as the
+    sum of the squared residuals: that is the one place where rounding
+    can move a verdict, an SSR within rounding of 1e-24 lhs'lhs.
+    """
+    _check_kind(spec)
+    y = np.asarray(y, dtype=float)
+    if y.shape[-1] < 25:
+        raise DataError(f"need at least 25 observations, got {y.shape[-1]}")
+    search = _lag_search(y, spec, 0, nested=False)
+    rows, scale, r, _ = search
+    r_inv, beta, se, ssr, lhs_ss = _level_fit(search, r, np.zeros(y.shape[:-1], int))
+    nobs, width = rows.shape[-2], rows.shape[-1] - 1
+    if bandwidth is None:
+        bandwidth = newey_west_bandwidth(nobs)
+    bandwidth = int(bandwidth)
+    if bandwidth >= nobs:
+        raise DataError(f"bandwidth {bandwidth} too large for {nobs} residuals")
+    beta_s = matvec(r_inv, np.ascontiguousarray(r[..., :width, width]))
+    resid = rows[..., width] - matvec(rows[..., :width], beta_s)
+    # bartlett_long_run_variance's checks, in its order: a negative
+    # bandwidth is refused before any degeneracy error.
+    if not np.isfinite(resid).all():
+        raise DataError("inputs must be finite")
+    lam2 = _two_sided(*_bartlett_sum(resid[..., None], bandwidth))[..., 0, 0]
+
+    tstat = _t_ratio(beta, se, ssr, lhs_ss)
+    # The level's standard error over s, in the units of y.
+    se_over_s = np.sqrt(dot(r_inv[..., 0, :], r_inv[..., 0, :])) / scale[..., 0]
+    gamma0 = ssr / nobs
+    if not (lam2 > 0.0).all():
+        raise DegeneracyError("long-run residual variance is zero")
+    z_tau = np.sqrt(gamma0 / lam2) * tstat - 0.5 * (lam2 - gamma0) / np.sqrt(lam2) * (
+        nobs * se_over_s)
+    if np.isnan(z_tau).any():
+        raise ParameterError("p-value outside [0, 1]: nan")
+    return z_tau, np.full(y.shape[:-1], bandwidth), np.full(y.shape[:-1], nobs)
 
 
 def pp_test(
@@ -444,47 +497,15 @@ def pp_test(
     spec: str = INTERCEPT,
     bandwidth: int | None = None,
 ) -> UnitRootReport:
-    """Phillips-Perron Z-tau test; the null is a unit root.
+    """Phillips-Perron Z-tau test; the null is a unit root. The unaugmented
+    Dickey-Fuller t-ratio is corrected with a Bartlett long-run variance of
+    the residuals; ``bandwidth`` None means the automatic Newey-West lag.
+    This is the one-series case of :func:`pp_reports`."""
+    return pp_reports(s.values, spec, bandwidth)[0]
 
-    The unaugmented Dickey-Fuller t-ratio is corrected nonparametrically
-    with a Bartlett long-run variance of the regression residuals;
-    ``bandwidth`` None means the automatic Newey-West lag. The
-    regression is the ADF's at a fixed lag 0: one R-only QR of
-    [design | lhs] (see the module docstring) gives the t-ratio, its
-    standard error and the SSR, and the coefficients from that R give
-    the residuals. The refusals run in this order: too few observations,
-    the rows and pivot gates, the bandwidth, then those of the t-ratio
-    and a zero long-run variance.
 
-    The exact-fit check reads the SSR as R's corner squared, not as the
-    sum of the squared residuals: that is the one place where rounding
-    can move a verdict, an SSR within rounding of 1e-24 lhs'lhs.
-    """
-    _check_kind(spec)
-    y = s.values
-    if y.size < 25:
-        raise DataError(f"need at least 25 observations, got {y.size}")
-    search = _lag_search(y, spec, 0, nested=False)
-    rows, scale, r, _ = search
-    r_inv, beta, se, ssr, lhs_ss = _level_fit(search, r, np.zeros((), int))
-    nobs, width = rows.shape[0], rows.shape[1] - 1
-    if bandwidth is None:
-        bandwidth = newey_west_bandwidth(nobs)
-    bandwidth = int(bandwidth)
-    if bandwidth >= nobs:
-        raise DataError(f"bandwidth {bandwidth} too large for {nobs} residuals")
-    beta_s = matvec(r_inv, np.ascontiguousarray(r[:width, width]))
-    resid = rows[:, width] - matvec(rows[:, :width], beta_s)
-    # Its bandwidth check refuses a negative value before any degeneracy error.
-    lam2 = bartlett_long_run_variance(resid, bandwidth)
-
-    tstat = _t_ratio(beta, se, ssr, lhs_ss)
-    # The level's standard error over s, in the units of y.
-    se_over_s = math.sqrt(dot(r_inv[0], r_inv[0])) / scale[0]
-    gamma0 = ssr / nobs
-    if not lam2 > 0.0:
-        raise DegeneracyError("long-run residual variance is zero")
-    z_tau = math.sqrt(gamma0 / lam2) * tstat - 0.5 * (lam2 - gamma0) / math.sqrt(
-        lam2
-    ) * (nobs * se_over_s)
-    return _report("PP", spec, z_tau, bandwidth, nobs)
+def pp_reports(y: np.ndarray, spec: str = INTERCEPT,
+               bandwidth: int | None = None) -> list[UnitRootReport]:
+    """The report of each row of a stack (S, n) y, or of one (n,) series,
+    as :func:`pp_stack` tests it."""
+    return _reports("PP", spec, pp_stack(y, spec, bandwidth))

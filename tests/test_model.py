@@ -5,11 +5,11 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from currsub.errors import DataError, ParameterError
+from currsub.errors import DataError, DegeneracyError, ParameterError
 from currsub.model import (
     DgpNoise,
     ModelParams,
@@ -375,6 +375,87 @@ class TestDeltaPath:
     def test_sigma_must_be_positive(self):
         with pytest.raises(ParameterError):
             TrendCoefficients(v0=0.0, v1=0.0, v2=0.0, sigma=0.0)
+
+
+def per_month_ratio(t, coeffs):
+    """The share ratio as the one-month scalar formula computes it; None
+    where it overflows. The oracle of the array path."""
+    q = (coeffs.v0 + (coeffs.v1 + coeffs.v2 * float(t)) * float(t)) / coeffs.sigma
+    try:
+        return math.exp(q)
+    except OverflowError:
+        return None
+
+
+def per_month_delta(t, coeffs):
+    q = (coeffs.v0 + (coeffs.v1 + coeffs.v2 * float(t)) * float(t)) / coeffs.sigma
+    if q >= 0.0:
+        e = math.exp(-q)
+        value = e / (1.0 + e)
+    else:
+        value = 1.0 / (1.0 + math.exp(q))
+    return min(max(value, math.nextafter(0.0, 1.0)), math.nextafter(1.0, 0.0))
+
+
+# Months from the trend origin to a sample's first month: the sample's own
+# start (0), 1990-01 before a 2001-09 start (140), and far origins either side.
+_OFFSETS = st.sampled_from([0, 140, -140]) | st.integers(-6000, 6000)
+_COEFFS = st.builds(
+    TrendCoefficients,
+    v0=st.floats(-50.0, 50.0),
+    v1=st.floats(-1.0, 1.0) | st.floats(-0.02, 0.02),
+    v2=st.floats(-1e-3, 1e-3) | st.floats(-1e-5, 1e-5),
+    sigma=st.floats(1e-3, 5.0),
+)
+
+
+class TestDeltaPathOnArrays:
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(coeffs=_COEFFS | st.just(TABLE_COEFFS), offset=_OFFSETS, n=st.integers(1, 400))
+    def test_array_equals_the_per_month_values(self, coeffs, offset, n):
+        months = offset + np.arange(n)
+        ratios = [per_month_ratio(t, coeffs) for t in months.tolist()]
+        if None in ratios:
+            first = months[ratios.index(None)]
+            with pytest.raises(DegeneracyError, match=f"^share ratio overflows at t={first}$"):
+                delta_ratio_at(months, coeffs)
+        else:
+            assert [v.hex() for v in delta_ratio_at(months, coeffs).tolist()] == [
+                v.hex() for v in ratios
+            ]
+        deltas = [per_month_delta(t, coeffs).hex() for t in months.tolist()]
+        assert [v.hex() for v in delta_at(months, coeffs).tolist()] == deltas
+        # The scalar calls are the one-month case.
+        t = months[-1].item()
+        assert delta_at(t, coeffs).hex() == deltas[-1]
+        if ratios[-1] is not None:
+            assert delta_ratio_at(t, coeffs).hex() == ratios[-1].hex()
+
+    def test_first_overflow_names_the_refusal(self):
+        coeffs = TrendCoefficients(v0=0.0, v1=0.0, v2=1.0, sigma=1.0)  # exp(t^2)
+        assert delta_ratio_at(np.arange(-26, 27), coeffs).size == 53
+        with pytest.raises(DegeneracyError, match="^share ratio overflows at t=27$"):
+            delta_ratio_at(np.arange(0, 40), coeffs)
+        with pytest.raises(DegeneracyError, match="^share ratio overflows at t=-30$"):
+            delta_ratio_at(np.arange(-30, 30), coeffs)
+        with pytest.raises(DegeneracyError, match="^share ratio overflows at t=28$"):
+            delta_ratio_at(28, coeffs)
+
+    def test_delta_is_clipped_to_the_open_interval(self):
+        coeffs = TrendCoefficients(v0=0.0, v1=1.0, v2=0.0, sigma=1.0)  # q = t
+        t = np.array([-1e6, -800.0, -40.0, 0.0, 40.0, 800.0, 1e6])
+        delta = delta_at(t, coeffs)
+        assert ((0.0 < delta) & (delta < 1.0)).all()
+        assert delta[0] == delta[1] == math.nextafter(1.0, 0.0)
+        assert delta[-1] == delta[-2] == math.nextafter(0.0, 1.0)
+        assert delta[3] == 0.5
+        assert [v.hex() for v in delta.tolist()] == [
+            per_month_delta(v, coeffs).hex() for v in t.tolist()
+        ]
+        # Overflowing trends saturate too: q is inf, then exp(-inf) = 0.
+        huge = TrendCoefficients(v0=0.0, v1=0.0, v2=1e300, sigma=1e-3)
+        assert delta_at(np.array([1e10]), huge)[0] == math.nextafter(0.0, 1.0)
+        assert delta_at(1e10, huge) == math.nextafter(0.0, 1.0)
 
 
 class TestSimulateDgp:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from currsub import coint, model, unitroot
+from currsub import coint, model, pipeline, unitroot
 from currsub.errors import (
     CurrsubError,
     DataError,
@@ -1107,3 +1107,51 @@ class TestRendererReference:
     )
     def test_random_documents_match_reference(self, doc, output_format):
         assert render_report(doc, output_format) == _reference_render(doc, output_format)
+
+
+# Where the 9-digit text and the repr part ways: signed zeros, subnormals
+# (whose 9 digits are not their shortest), the fixed/exponent switches of
+# format (1e-5, 1e9) and repr (1e-4, 1e16), a rounding carry into 1e9,
+# and the largest doubles.
+_FLOAT_TEXT_EDGES = (
+    0.0, -0.0, 5e-324, -5e-324, 1e-323, 2.5e-310, 2.225073858507201e-308,
+    2.2250738585072014e-308, 1e-5, 1e-4, 9.999999995e-5, 999999999.5, 1e9, 1e15,
+    1e16, 123456789.0, 1234567891.0, 0.1 + 0.2, 1.7976931348623157e308,
+    -1.7976931348623157e308,
+)
+_FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    _FLOAT_TEXT_EDGES
+)
+
+
+class TestFloatText:
+    @_PROPERTY_SETTINGS
+    @given(value=st.floats(allow_nan=False, allow_infinity=False))
+    def test_text_is_the_repr_of_the_rounded_value(self, value):
+        self.test_edge_values(value)
+
+    @pytest.mark.parametrize("value", _FLOAT_TEXT_EDGES)
+    def test_edge_values(self, value):
+        expected = float.__repr__(float(format(value, ".9g")))
+        assert pipeline._float_text(value) == expected
+        assert pipeline._float_text(np.float64(value)) == expected
+
+    def test_subnormal_text_is_its_shortest_repr(self):
+        assert format(5e-324, ".9g") == "4.94065646e-324"
+        assert pipeline._float_text(5e-324) == "5e-324"
+        assert pipeline._float_text(1e9) == "1000000000.0"
+        assert pipeline._float_text(999999999.5) == "1000000000.0"
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64("nan")])
+    def test_non_finite_has_no_text(self, value):
+        assert pipeline._float_text(value) is None
+
+    @_PROPERTY_SETTINGS
+    @given(value=_FINITE_FLOATS)
+    def test_csv_cell_is_the_json_text(self, value):
+        doc = {"s": {"k": value}}
+        json_line = render_report(doc, "json").splitlines()[2]
+        csv_line = render_report(doc, "csv").splitlines()[1]
+        text = pipeline._float_text(value)
+        assert json_line == f'    "k": {text}'
+        assert csv_line == f"s,k,{text}"

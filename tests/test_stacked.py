@@ -1,9 +1,10 @@
 """The stacked kernels against their one-row calls, bit for bit.
 
-``model.simulate_paths``, ``coint.fmols_stack`` and ``unitroot.adf_stack``
-compute every row of a stack as the one-row functions compute it alone
-(``simulate_dgp``, ``fmols``, ``adf_test``); the Monte Carlo relies on
-that, so these tests compare ``float.hex`` strings, not tolerances. A
+``model.simulate_paths``, ``coint.fmols_stack``, ``unitroot.adf_stack`` and
+``unitroot.pp_stack`` compute every row of a stack as the one-row functions
+compute it alone (``simulate_dgp``, ``fmols``, ``adf_test``, ``pp_test``);
+the Monte Carlo and the unit-root grid rely on that, so these tests compare
+``float.hex`` strings, not tolerances. A
 refusal of any row refuses the stack with that row's own error, and
 ``run_montecarlo`` raises the refusal that a seed-by-seed run raises
 first.
@@ -114,6 +115,24 @@ class TestStackedEqualsOneRow:
         chosen = unitroot.adf_stack(rows, spec)[1]
         assert len(set(chosen.tolist())) > 1
 
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    @pytest.mark.parametrize("bandwidth", [None, 0, 5])
+    @pytest.mark.parametrize("spec", unitroot.DETERMINISTIC_KINDS)
+    def test_pp(self, spec, bandwidth, rows):
+        for n in LENGTHS:
+            # The spread and eps rows of 1-3 seeds: random walks and AR(1) levels.
+            _, spread, eps = model.simulate_paths(TRUTH, n, NOISE, range(60, 60 + rows))
+            for stack in (spread, eps, np.asfortranarray(eps)):
+                stats, bandwidths, nobs = unitroot.pp_stack(stack, spec, bandwidth)
+                assert stats.shape == bandwidths.shape == nobs.shape == (rows,)
+                for i, row in enumerate(stack):
+                    one = unitroot.pp_test(series(row), spec, bandwidth)
+                    assert float(stats[i]).hex() == one.statistic.hex()
+                    assert bandwidths[i] == one.lags_or_bandwidth
+                    assert nobs[i] == one.n_obs
+            # A series alone gives 0-d arrays.
+            assert [np.ndim(a) for a in unitroot.pp_stack(eps[0], spec, bandwidth)] == [0, 0, 0]
+
 
 def refusal(call):
     with pytest.raises(CurrsubError) as info:
@@ -152,6 +171,21 @@ class TestStackRefusals:
         expected = refusal(lambda: unitroot.adf_test(series(rows[1]), lags=0))
         assert expected[0] is DegeneracyError
         assert refusal(lambda: unitroot.adf_stack(rows, lags=0)) == expected
+
+    def test_pp_row_refusal_is_its_own(self):
+        rows = adf_rows(171)[:3]
+        rows[1] = 2.0  # a constant row
+        expected = refusal(lambda: unitroot.pp_test(series(rows[1])))
+        assert expected == (DegeneracyError, "collinear regressors")
+        assert refusal(lambda: unitroot.pp_stack(rows)) == expected
+        # A bandwidth as long as the residuals refuses every row alike.
+        rows = adf_rows(171)[:2]
+        expected = refusal(lambda: unitroot.pp_test(series(rows[1]), bandwidth=170))
+        assert expected == (DataError, "bandwidth 170 too large for 170 residuals")
+        assert refusal(lambda: unitroot.pp_stack(rows, bandwidth=170)) == expected
+        assert refusal(lambda: unitroot.pp_stack(rows, bandwidth=-1)) == refusal(
+            lambda: unitroot.pp_test(series(rows[1]), bandwidth=-1)
+        )
 
 
 def seed_by_seed_refusal(mc):
