@@ -8,8 +8,11 @@ through the stacked kernels (see :func:`run_montecarlo`). A dataset is
 columnar (:class:`Dataset`): ingest builds no object per row, derivation
 runs a column at a time, the unit-root grid tests both series as one
 ADF and one PP stack per spec, and the share path is evaluated on the
-whole month column. Everything here is a pure function of its inputs;
-the CLI layer owns argument parsing and process exit codes.
+whole month column. A unit-root stack or a Monte Carlo block that refuses
+reruns its cells or seeds alone only to raise the refusal a one-by-one run
+meets first; results come from the batch alone. Everything here is a pure
+function of its inputs; the CLI layer owns argument parsing and process
+exit codes.
 
 Serialization rule: every float in an emitted report is rounded to 9
 significant digits, which makes repeated runs byte-identical and report
@@ -357,26 +360,24 @@ def run_unit_roots(
 ) -> tuple[UnitRootRun, ...]:
     """The 2 series x 2 tests x 2 deterministic specs report grid; each test
     runs both series as one stack per spec, each row with its lone run's bits
-    (``unitroot.adf_stack``, ``pp_stack``). If a stack refuses, the grid runs
-    cell by cell, in report order, to raise the first refusal."""
+    (``unitroot.adf_reports``, ``pp_reports``). If a stack refuses, each
+    series' cells rerun alone, in report order, only to raise the first
+    refusal."""
     names, kinds = ("log_money_ratio", "oc_spread_log"), unitroot.DETERMINISTIC_KINDS
-    adf = {"lags": config.lags, "max_lags": config.max_lags}
-    # Looked up per call, so a wrapper swapped into unitroot is honoured.
-    tests = ((unitroot.adf_test, unitroot.adf_reports, adf),
-             (unitroot.pp_test, unitroot.pp_reports, {"bandwidth": config.bandwidth}))
+    stack = np.stack([getattr(derived, name).values for name in names])
+    tests = ((unitroot.adf_reports, {"lags": config.lags, "max_lags": config.max_lags}),
+             (unitroot.pp_reports, {"bandwidth": config.bandwidth}))
     try:
-        stack = np.stack([getattr(derived, name).values for name in names])
         stacked = [[reports(stack, spec, **settings) for spec in kinds]
-                   for _, reports, settings in tests]
+                   for reports, settings in tests]
     except CurrsubError:
-        stacked = None
-    return tuple(
-        UnitRootRun(series=name, report=stacked[t][k][j] if stacked
-                    else test(getattr(derived, name), spec, **settings))
-        for j, name in enumerate(names)
-        for t, (test, _, settings) in enumerate(tests)
-        for k, spec in enumerate(kinds)
-    )
+        for row in stack:
+            for reports, settings in tests:
+                for spec in kinds:
+                    reports(row, spec, **settings)
+        raise
+    return tuple(UnitRootRun(series=name, report=spec_reports[j])
+                 for j, name in enumerate(names) for test in stacked for spec_reports in test)
 
 
 def run_estimation(derived: DerivedSeries, config: PipelineConfig) -> EstimationResult:
@@ -475,16 +476,6 @@ def _montecarlo_block(mc: MonteCarloConfig, seeds: range) -> tuple:
     return fit.theta, (lc_rejects, *adf_rejects)
 
 
-def _first_refusal(mc: MonteCarloConfig, seeds: range) -> CurrsubError | None:
-    """The refusal of the lowest seed that refuses when run alone."""
-    for k in range(len(seeds)):
-        try:
-            _montecarlo_block(mc, seeds[k : k + 1])
-        except CurrsubError as exc:
-            return exc
-    return None
-
-
 def run_montecarlo(mc: MonteCarloConfig) -> dict:
     """Repeated simulate -> estimate, summarized.
 
@@ -506,9 +497,10 @@ def run_montecarlo(mc: MonteCarloConfig) -> dict:
     flat in both n_seeds and n_obs. A refusal is the one a seed-by-seed
     run raises first: the lowest refusing seed, and within it the
     simulation, then FM-OLS, then the spread ADF, then the eps ADF. A
-    block that refuses is rerun one seed at a time to find it.
+    block that refuses is rerun one seed at a time, only to raise it.
     """
-    block = max(1, _MONTECARLO_BLOCK_ROWS // mc.n_obs)
+    # n_obs < 1 gets a full block: simulate_paths refuses it as any n < 30.
+    block = max(1, _MONTECARLO_BLOCK_ROWS // max(1, mc.n_obs))
     seeds = range(mc.seed_base, mc.seed_base + mc.n_seeds)
     thetas = []
     rejections: dict[str, list[bool]] = {key: [] for key in _REJECTION_KEYS}
@@ -516,8 +508,10 @@ def run_montecarlo(mc: MonteCarloConfig) -> dict:
         chunk = seeds[first : first + block]
         try:
             theta, flags = _montecarlo_block(mc, chunk)
-        except CurrsubError as exc:
-            raise _first_refusal(mc, chunk) or exc from None
+        except CurrsubError:
+            for k in range(len(chunk)):
+                _montecarlo_block(mc, chunk[k : k + 1])
+            raise
         thetas.append(theta)
         for key, block_flags in zip(_REJECTION_KEYS, flags):
             rejections[key].extend(block_flags)

@@ -38,7 +38,8 @@ of :mod:`currsub._ols`: a row's arrays have shapes set by n, the spec
 and max_lags, never by the other rows, the vectors that are reduced or
 multiplied are C-contiguous, and the design columns are slices, not
 indexed copies, of the series. A row that refuses refuses the stack with
-its own error.
+its own error; the stacks own every refusal, a NaN statistic's too, so
+the records (:func:`_reports`) are built with no check of their own.
 """
 
 from __future__ import annotations
@@ -185,17 +186,13 @@ def _reports(test: str, kind: str, arrays) -> list[UnitRootReport]:
     reports = []
     for statistic, lags_or_bw, nobs in zip(*(np.atleast_1d(a).tolist() for a in arrays)):
         cvs = mackinnon_critical_values(kind, nobs)
-        p_value = mackinnon_p_value(statistic, kind)
-        # Only a NaN statistic gives a p-value outside [0, 1].
-        if not 0.0 <= p_value <= 1.0:
-            raise ParameterError(f"p-value outside [0, 1]: {p_value}")
         reports.append(UnitRootReport(
             test=test,
             spec=kind,
             statistic=statistic,
             lags_or_bandwidth=lags_or_bw,
             critical_values=cvs,
-            approx_p_value=p_value,
+            approx_p_value=mackinnon_p_value(statistic, kind),
             reject_at={level: statistic < cvs[level] for level in SIGNIFICANCE_LEVELS},
             n_obs=nobs,
         ))
@@ -413,7 +410,7 @@ def adf_stack(
     _, *fit = _level_fit(search, r, best)
     stats = _t_ratio(*fit)
     if np.isnan(stats).any():
-        # A NaN statistic has no p-value; refused as _reports refuses it.
+        # A NaN statistic has no p-value in [0, 1]; the stacks own this refusal.
         raise ParameterError("p-value outside [0, 1]: nan")
     return stats, best, n - 1 - best
 

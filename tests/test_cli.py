@@ -598,6 +598,45 @@ class TestMontecarlo:
         assert captured.err == "error: need at least 32 observations, got 30\n"
 
 
+class TestBoundaryArguments:
+    """A value at or past the edge of a simulation flag's range exits 2 with
+    one ``error:`` line and no traceback. The flag is appended to a valid
+    command line; argparse keeps a repeated flag's last value."""
+
+    MONTECARLO = [
+        *((["--n", n], f"need n >= 30 observations, got {n}") for n in ("-3", "0", "1", "29")),
+        (["--seeds", "0"], "need n_seeds >= 10, got 0"),
+        (["--seed-base", "-1"], "seed_base must be >= 0, got -1"),
+        (["--spread-sd", "0"], "noise standard deviations must be > 0"),
+        (["--eps-sd", "-1"], "noise standard deviations must be > 0"),
+        (["--rho", "1"], "AR(1) coefficient must satisfy |rho| < 1, got 1.0"),
+        (["--v0", "nan"], "v0 must be finite, got nan"),
+        (["--sigma", "0"], "sigma must be > 0, got 0.0"),
+        (["--sigma", "inf"], "sigma must be finite, got inf"),
+    ]
+    SIMULATE = [
+        (["--n", "0"], "need n >= 30 observations, got 0"),
+        (["--seed", "-1"], "seed must be >= 0, got -1"),
+        (["--start", "2001-13"], "month must be in 1..12, got 13"),
+        (["--start", "9999-01"], "month 10000-01 is outside 0000-01..9999-12"),
+        (["--phi-annual", "-1"], "annual cost must exceed -100%, got -1.0"),
+        (["--phi-annual", "inf"], "phi_annual must be finite, got inf"),
+        (["--spread-start", "nan"], "spread_start must be finite, got nan"),
+    ]
+
+    @pytest.mark.parametrize("argv, message", MONTECARLO,
+                             ids=[" ".join(argv) for argv, _ in MONTECARLO])
+    def test_montecarlo(self, capsys, argv, message):
+        argv = [*TestMontecarlo.MC_ARGS, *argv]
+        assert one_error_line(argv, capsys) == (2, f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv, message", SIMULATE,
+                             ids=[" ".join(argv) for argv, _ in SIMULATE])
+    def test_simulate(self, capsys, argv, message):
+        argv = ["simulate", "--n", "120", *TABLE_FLAGS, *argv]
+        assert one_error_line(argv, capsys) == (2, f"error: {message}\n")
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("argv, message", [
         ([*TestMontecarlo.MC_ARGS, "--lags", "3"], "unrecognized arguments: --lags 3"),

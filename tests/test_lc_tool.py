@@ -5,6 +5,7 @@ import math
 import sys
 import tracemalloc
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -222,6 +223,26 @@ def test_quantile_interval_covers_at_least_95_percent(tool, n):
             for j in range(lo, hi)
         )
         assert sum(map(math.exp, log_pmf)) >= 0.95
+
+
+def test_committed_table_inside_simulated_quantile_intervals(tool, monkeypatch):
+    """Each of the 21 LC_CRITICAL_VALUES entries lies in the distribution-free
+    interval X_(lo) <= value < X_(hi) of its quantile. The draws are 4,000
+    reps at T = 2000 per configuration from one seeded stream, cut into the
+    tool's chunks; the ranks are quantile_ci_ranks', at z for 95%
+    simultaneous cover of the 21 entries (Bonferroni), as
+    TestMacKinnonCriticalValues does for its six."""
+    reps, t_len = 4000, 2000
+    entries = sum(map(len, coint.LC_CRITICAL_VALUES.values()))
+    monkeypatch.setattr(tool, "Z_95", NormalDist().inv_cdf(1.0 - 0.05 / (2 * entries)))
+    sizes = [rows.stop - rows.start for rows in tool._row_blocks(reps, t_len, tool._CHUNK_VALUES)]
+    rng = np.random.default_rng(1)
+    for config, powers in tool.CONFIG_TREND_POWERS.items():
+        chunks = [tool.simulate_lc_chunk(rng, size, t_len, powers) for size in sizes]
+        draws = np.sort(np.concatenate(chunks))
+        for prob, value in coint.LC_CRITICAL_VALUES[config].items():
+            lo, hi = tool.quantile_ci_ranks(reps, 1.0 - prob)
+            assert draws[lo - 1] <= value < draws[hi - 1], (config, prob)
 
 
 @pytest.mark.parametrize(

@@ -65,7 +65,7 @@ None and 2. Per row the hash takes ``float.hex`` of the statistic, the
 lag and the number of observations; a refused stack adds its message
 instead.
 
-Uses only the standard library and NumPy; takes about 15 s on 2 vCPUs.
+Uses only the standard library and NumPy; takes 5-11 s on a shared 2-vCPU VM.
 """
 
 from __future__ import annotations
