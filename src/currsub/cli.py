@@ -79,33 +79,16 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_ingest_check(args: argparse.Namespace) -> int:
+def _cmd_report(args: argparse.Namespace) -> int:
     config = _load_config(args)
     ingested = pipeline.ingest(args.data)
-    doc = pipeline.build_report(config, ingested)
-    _emit(pipeline.render_report(doc, config.output_format), args.output)
-    return 0
-
-
-def _cmd_unit_root(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    ingested = pipeline.ingest(args.data)
-    derived = pipeline.derive_series(ingested.rows, config)
-    runs = pipeline.run_unit_roots(derived, config)
-    doc = pipeline.build_report(config, ingested, unit_roots=runs)
-    _emit(pipeline.render_report(doc, config.output_format), args.output)
-    return 0
-
-
-def _cmd_estimate(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    ingested = pipeline.ingest(args.data)
-    derived = pipeline.derive_series(ingested.rows, config)
-    runs = pipeline.run_unit_roots(derived, config)
-    estimation = pipeline.run_estimation(derived, config)
-    doc = pipeline.build_report(
-        config, ingested, unit_roots=runs, estimation=estimation
-    )
+    runs = estimation = None
+    if args.command != "ingest-check":
+        derived = pipeline.derive_series(ingested.rows, config)
+        runs = pipeline.run_unit_roots(derived, config)
+        if args.command == "estimate":
+            estimation = pipeline.run_estimation(derived, config)
+    doc = pipeline.build_report(config, ingested, unit_roots=runs, estimation=estimation)
     _emit(pipeline.render_report(doc, config.output_format), args.output)
     return 0
 
@@ -203,10 +186,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     # The settings each data command reads, hence the only ones it accepts.
     for name, handler, settings in (
-        ("ingest-check", _cmd_ingest_check, ("output_format",)),
-        ("unit-root", _cmd_unit_root,
+        ("ingest-check", _cmd_report, ("output_format",)),
+        ("unit-root", _cmd_report,
          ("phi_annual", "lags", "max_lags", "bandwidth", "output_format")),
-        ("estimate", _cmd_estimate, tuple(_SETTING_FLAGS)),
+        ("estimate", _cmd_report, tuple(_SETTING_FLAGS)),
         ("delta-path", _cmd_delta_path, ("phi_annual", "bandwidth", "trend_origin")),
     ):
         cmd = sub.add_parser(name)

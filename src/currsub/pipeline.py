@@ -5,7 +5,7 @@ plus a synthetic-dataset writer that inverts the derivation so simulated
 draws can be pushed through the exact same path, and a Monte Carlo
 driver for validating the estimators, which runs its seeds in blocks
 through the stacked kernels (see :func:`run_montecarlo`). A dataset is
-columnar (:class:`Dataset`): ingest builds no object per row, derivation
+columnar (:class:`Dataset`): ingest parses a sorted file by column, derivation
 runs a column at a time, the unit-root grid tests both series as one
 ADF and one PP stack per spec, and the share path is evaluated on the
 whole month column. A unit-root stack or a Monte Carlo block that refuses
@@ -46,7 +46,7 @@ from .errors import (
     ParameterError,
     SeriesDomainError,
 )
-from .series import MonthStamp, MonthlySeries, pearson_correlation
+from .series import MonthStamp, MonthlySeries, _month_labels, pearson_correlation
 
 __all__ = [
     "Dataset",
@@ -211,19 +211,43 @@ class EstimationResult:
     delta: MonthlySeries = field(repr=False)
 
 
-def _parse_float(date: str, name: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except (TypeError, ValueError):
-        raise IngestionError(f"{date}: cannot parse {name}={raw!r}") from None
-
-
 # Per schema, the value columns in the order a row parses them, which is
 # the order in which a row with several bad values names the first.
 _PARSE_ORDER = {
     "m_eur_fx": ("m_eur", "fx", "m_dom", "i_dom", "i_eur"),
     "m_eur_lei": ("m_eur_lei", "m_dom", "i_dom", "i_eur"),
 }
+
+
+def _dataset_columns(named: dict) -> list[np.ndarray]:
+    """The five dataset columns of the parsed value columns; fx is 1 for a stock in lei."""
+    if "m_eur_lei" in named:
+        named = {**named, "m_eur": named["m_eur_lei"], "fx": np.ones(len(named["m_dom"]))}
+    return [named[name] for name in _COLUMNS]
+
+
+def _month_ordered(reader, header: tuple) -> Dataset | None:
+    """The dataset of the reader's records, a column at a time, if each has a
+    field per column, the stripped dates are the labels of consecutive months
+    and ``float`` parses every value; else None. The rows are then in file
+    order, so the Dataset refuses the month the per-row loop would refuse."""
+    try:
+        records = list(filter(None, reader))  # a blank line is an empty record
+    except csv.Error:
+        return None
+    if set(map(len, records)) != {len(header)}:
+        return None
+    columns = dict(zip(header, zip(*records)))
+    dates = list(map(str.strip, columns.pop("date")))
+    try:  # a DataError too: the per-row loop words each refusal
+        first = MonthStamp.parse_index(dates[0])
+        if first + len(dates) > 10000 * 12 or dates != _month_labels(first, len(dates)):
+            return None
+        # NumPy parses each str with float(), as the per-row loop does.
+        named = {name: np.array(column, dtype=float) for name, column in columns.items()}
+    except ValueError:
+        return None
+    return Dataset(MonthStamp.from_index(first), *_dataset_columns(named))
 
 
 def ingest_rows(text: str) -> tuple[Dataset, str]:
@@ -235,7 +259,8 @@ def ingest_rows(text: str) -> tuple[Dataset, str]:
     skipped, and a refused row is named by its physical line. Lines may
     end in LF, CRLF or CR alone. Rows are sorted by date and must form
     one contiguous monthly span. A refusal is the first in file order, or
-    else a duplicate or missing month.
+    else a duplicate or missing month. A file in month order is parsed by
+    column (:func:`_month_ordered`), any other again row by row.
     """
     # newline=None reads a lone CR as a line end, and line_num stays physical.
     reader = csv.reader(io.StringIO(text, newline=None))
@@ -257,6 +282,10 @@ def ingest_rows(text: str) -> tuple[Dataset, str]:
         raise IngestionError(
             f"header {header} matches neither {SCHEMA_EUR_FX} nor {SCHEMA_EUR_LEI}"
         )
+    if (data := _month_ordered(reader, header)) is not None:
+        return data, schema
+    reader = csv.reader(io.StringIO(text, newline=None))  # read again, a row at a time,
+    next(reader)  # to sort the rows or to word the refusal
     column = {name: k for k, name in enumerate(header)}
     date_column = column["date"]
     value_columns = [(name, column[name]) for name in _PARSE_ORDER[schema]]
@@ -272,11 +301,14 @@ def ingest_rows(text: str) -> tuple[Dataset, str]:
                 index = MonthStamp.parse_index(values[date_column].strip())
             except DataError as exc:
                 raise IngestionError(f"line {reader.line_num}: {exc}") from None
-            try:
-                parsed.append([float(values[k]) for _, k in value_columns])
-            except ValueError:  # parsed field by field, to word the refusal
-                for name, k in value_columns:
-                    _parse_float(values[date_column].strip(), name, values[k])
+            row = []
+            for name, k in value_columns:
+                try:
+                    row.append(float(values[k]))
+                except ValueError:
+                    date = values[date_column].strip()
+                    raise IngestionError(f"{date}: cannot parse {name}={values[k]!r}") from None
+            parsed.append(row)
             indices.append(index)
     except csv.Error as exc:
         failure = IngestionError(f"line {reader.line_num}: {exc}")
@@ -284,10 +316,7 @@ def ingest_rows(text: str) -> tuple[Dataset, str]:
         failure = exc
     if not parsed:
         raise failure or IngestionError("no data rows")
-    named = dict(zip(_PARSE_ORDER[schema], map(np.array, zip(*parsed))))
-    if schema == "m_eur_lei":
-        named.update(m_eur=named.pop("m_eur_lei"), fx=np.ones(len(parsed)))
-    columns = [named[name] for name in _COLUMNS]
+    columns = _dataset_columns(dict(zip(_PARSE_ORDER[schema], map(np.array, zip(*parsed)))))
     if (defect := _row_defect(columns)) is not None:
         raise IngestionError(f"{MonthStamp.from_index(indices[defect[0]])}: {defect[1]}")
     if failure is not None:
@@ -576,21 +605,16 @@ def dataset_rows_from_simulation(
 
 
 def dataset_csv_text(rows: Dataset) -> str:
-    """Render rows, such as a :class:`Dataset`'s, in the primary input schema.
+    """Render a :class:`Dataset` in the primary input schema, a template per month.
 
     Twelve significant digits, not the report-level nine: the derivation
     exponentiates the stored columns, so nine digits here would not keep
     the re-ingested coefficients within 1e-9 of the in-memory fit.
     """
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(SCHEMA_EUR_FX)
-    for row in rows:
-        writer.writerow(
-            [str(row.date)]
-            + [format(float(getattr(row, name)), ".12g") for name in SCHEMA_EUR_FX[1:]]
-        )
-    return out.getvalue()
+    labels = _month_labels(rows.start.index, len(rows))
+    columns = (getattr(rows, name).tolist() for name in _COLUMNS)
+    return ",".join(SCHEMA_EUR_FX) + "\n" + "".join(  # %.12g is format(v, ".12g")
+        ["%s,%.12g,%.12g,%.12g,%.12g,%.12g\n" % row for row in zip(labels, *columns)])
 
 
 def write_dataset_csv(rows: Dataset, path: str) -> None:
@@ -614,13 +638,40 @@ def _fmols_entry(report: coint.FmolsReport) -> dict:
     }
 
 
+class _DeltaPath(tuple):
+    """The delta path as the tuple of its columns (``YYYY-MM`` labels, ratios,
+    deltas), read as its {"date", "ratio", "delta"} rows by ``len``, indexing,
+    iteration and equality with a list of them. A tuple, so that walks over
+    lists and tuples see the rows; the renderers write it a template per row."""
+
+    def __len__(self) -> int:
+        return len(tuple.__getitem__(self, 0))
+
+    def __getitem__(self, k):  # a slice gives a list of rows, as a list's slice does
+        return list(self)[k] if isinstance(k, slice) else dict(
+            zip(("date", "ratio", "delta"), (column[k] for column in tuple.__iter__(self))))
+
+    def __iter__(self):
+        return (dict(date=d, ratio=r, delta=x) for d, r, x in zip(*tuple.__iter__(self)))
+
+    def __eq__(self, other) -> bool:
+        return list(self) == other  # another path answers through its own __eq__
+
+    __ne__ = object.__ne__  # the negated __eq__, not tuple's
+
+    def texts(self):
+        """Each row's label and its two floats' texts (:func:`_float_text`)."""
+        labels, ratios, deltas = tuple.__iter__(self)
+        return zip(labels, map(_float_text, ratios), map(_float_text, deltas))
+
+
 def build_report(
     config: PipelineConfig,
     ingested: IngestResult,
     unit_roots: tuple[UnitRootRun, ...] | None = None,
     estimation: EstimationResult | None = None,
 ) -> dict:
-    """Assemble the full machine-readable report document."""
+    """Assemble the full machine-readable report document (its delta path a :class:`_DeltaPath`)."""
     data = ingested.rows
     doc = {
         "config": config.metadata(data.start),
@@ -639,14 +690,9 @@ def build_report(
         doc["unit_roots"] = [{"series": run.series, **vars(run.report)} for run in unit_roots]
     if estimation is not None:
         doc["fmols"] = _fmols_entry(estimation.fmols)
-        doc["delta_path"] = [
-            {"date": label, "ratio": ratio, "delta": delta}
-            for label, ratio, delta in zip(
-                estimation.delta_ratio.labels(),
-                estimation.delta_ratio.values.tolist(),
-                estimation.delta.values.tolist(),
-            )
-        ]
+        doc["delta_path"] = _DeltaPath((estimation.delta_ratio.labels(),
+                                        estimation.delta_ratio.values.tolist(),
+                                        estimation.delta.values.tolist()))
         doc["correlation"] = estimation.correlation
     return doc
 
@@ -678,6 +724,11 @@ def _json_chunks(obj, indent: str, out: list) -> None:
     if isinstance(obj, float):
         text = _float_text(obj)
         out.append("null" if text is None else text)
+    elif type(obj) is _DeltaPath:  # one template per row
+        pad = "\n" + indent + "    "
+        row = f'{indent}  {{{pad}"date": "%s",{pad}"ratio": %s,{pad}"delta": %s\n{indent}  }}'
+        text = ",\n".join([row % (d, r or "null", x or "null") for d, r, x in obj.texts()])
+        out.append(f"[\n{text}\n{indent}]" if text else "[]")
     elif isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
     elif isinstance(obj, dict):
@@ -729,40 +780,39 @@ def render_report(doc: dict, output_format: str = "json") -> str:
 
 def _render_report_csv(doc: dict) -> str:
     """Flat key,value rendering; array sections become one row per entry."""
-    rows: list[list] = [["section", "key", "value"]]
-    for section, payload in doc.items():
-        _csv_rows(_key(section), payload, "", rows)
     out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows(rows)
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(("section", "key", "value"))
+    for section, payload in doc.items():
+        if section == "delta_path" and type(payload) is _DeltaPath:  # one template per row
+            row = "delta_path,%d.date,%s\ndelta_path,%d.ratio,%s\ndelta_path,%d.delta,%s\n"
+            out.write("".join([row % (k, d, k, r or "", k, x or "")
+                               for k, (d, r, x) in enumerate(payload.texts())]))
+        else:
+            _csv_rows(_key(section), payload, "", writer)
     return out.getvalue()
 
 
-def _csv_rows(section, payload, prefix: str, rows: list) -> None:
-    """Append one [section, dotted key, value] row per leaf of ``payload``.
-
-    A module function, not a closure: a recursive closure is a reference
-    cycle, which would keep ``rows`` alive until the cyclic collector runs
-    (1.5 MB more peak memory in perfbench's ``estimate_batch``).
-    """
+def _csv_rows(section, payload, prefix: str, writer) -> None:
+    """Write one [section, dotted key, value] row per leaf of ``payload``. A
+    module function: a recursive closure is a reference cycle, which would
+    keep what it holds alive until the cyclic collector runs."""
     if isinstance(payload, dict):
         for key, value in payload.items():
-            _csv_rows(section, value, f"{prefix}{_key(key)}.", rows)
+            _csv_rows(section, value, f"{prefix}{_key(key)}.", writer)
     elif isinstance(payload, (list, tuple)):
         for idx, value in enumerate(payload):
-            _csv_rows(section, value, f"{prefix}{idx}.", rows)
+            _csv_rows(section, value, f"{prefix}{idx}.", writer)
     else:
         if isinstance(payload, float):
             payload = _float_text(payload)
         elif not (payload is None or isinstance(payload, (int, str))):
             raise TypeError(f"cannot serialize {type(payload).__name__}")
-        rows.append([section, prefix.rstrip("."), "" if payload is None else payload])
+        writer.writerow((section, prefix.rstrip("."), "" if payload is None else payload))
 
 
 def render_delta_path_csv(estimation: EstimationResult) -> str:
     """Two-column date,ratio rendering of the fitted share-ratio path."""
-    path = estimation.delta_ratio
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["date", "ratio"])
-    writer.writerows(zip(path.labels(), (format(v, ".9g") for v in path.values.tolist())))
-    return out.getvalue()
+    path = estimation.delta_ratio  # %.9g is format(v, ".9g")
+    return "date,ratio\n" + "".join(["%s,%.9g\n" % row
+                                     for row in zip(path.labels(), path.values.tolist())])

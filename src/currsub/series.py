@@ -38,6 +38,14 @@ def _month_label(index: int) -> str:
     return f"{index // 12:04d}-{index % 12 + 1:02d}"
 
 
+def _month_labels(first: int, count: int) -> list[str]:
+    """:func:`_month_label` of the ``count`` months from index ``first`` on,
+    built a year at a time."""
+    months = ("-01", "-02", "-03", "-04", "-05", "-06", "-07", "-08", "-09", "-10", "-11", "-12")
+    years = map("%04d".__mod__, range(first // 12, (first + count + 11) // 12))
+    return [year + month for year in years for month in months][first % 12 : first % 12 + count]
+
+
 @dataclass(frozen=True, order=True)
 class MonthStamp:
     """A calendar month of the years 0..9999, totally ordered by (year, month)."""
@@ -124,9 +132,8 @@ class MonthlySeries:
         return int(self.values.size)
 
     def labels(self) -> list[str]:
-        """``YYYY-MM`` of each month, without building the stamps."""
-        first = self.start.index
-        return [_month_label(index) for index in range(first, first + len(self))]
+        """``YYYY-MM`` of each month, a year at a time (:func:`_month_labels`)."""
+        return _month_labels(self.start.index, len(self))
 
 
 def pearson_correlation(a: MonthlySeries, b: MonthlySeries) -> float:

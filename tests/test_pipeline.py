@@ -437,6 +437,87 @@ _DEFECTS = {
 }
 
 
+def _explicit_records(columns, start=MonthStamp(2001, 11), months=6):
+    """Six valid months from ``start`` as raw strings, in month order."""
+    values = {"m_dom": "100.5", "m_eur": "20.25", "m_eur_lei": "50.75", "fx": "2.5",
+              "i_dom": "-0.0", "i_eur": "4.125"}
+    return [{"date": str(start.shift(k)), **{name: values[name] for name in columns[1:]}}
+            for k in range(months)]
+
+
+def _dated(columns, records, dates):
+    """The file of ``records`` with their dates replaced by ``dates``."""
+    return _csv(columns, [{**rec, "date": date} for rec, date in zip(records, dates)]).encode()
+
+
+def _extra_field(columns, records):
+    lines = _csv(columns, records).split("\n")
+    lines[3] += ",1.0"
+    return "\n".join(lines).encode()
+
+
+_ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+# Layouts of a file of six months, each from (columns, records) to its bytes.
+_LAYOUTS = {
+    "plain": lambda cols, recs: _csv(cols, recs).encode(),
+    "shuffled": lambda cols, recs: _csv(cols, [recs[k] for k in (3, 0, 5, 1, 4, 2)]).encode(),
+    "blank line": lambda cols, recs: _csv(cols, recs).replace("\n", "\n\n", 3).encode(),
+    "cr": lambda cols, recs: _csv(cols, recs, newline="\r").encode(),
+    "crlf and bom": lambda cols, recs: b"\xef\xbb\xbf" + _csv(cols, recs, "\r\n").encode(),
+    "padded dates": lambda cols, recs: _dated(cols, recs, [f"  {r['date']} " for r in recs]),
+    "quoted dates": lambda cols, recs: _dated(cols, recs, [f'"{r["date"]}"' for r in recs]),
+    "2001-9": lambda cols, recs: _dated(
+        cols, recs, ["2001-07", "2001-08", "2001-9", "2001-10", "2001-11", "2001-12"]),
+    "arabic-indic dates": lambda cols, recs: _dated(
+        cols, recs, [r["date"].translate(_ARABIC_INDIC) for r in recs]),
+    "duplicate month": lambda cols, recs: _csv(cols, recs[:4] + recs[3:5]).encode(),
+    "gap": lambda cols, recs: _csv(cols, recs[:2] + recs[3:]).encode(),
+    "extra field": _extra_field,
+    "past 9999-12": lambda cols, recs: _dated(
+        cols, recs, ["9999-09", "9999-10", "9999-11", "9999-12", "10000-01", "10000-02"]),
+}
+
+# Field texts whose float() value or refusal NumPy's str parse must repeat.
+_EXPLICIT_VALUES = ["1_0", " 1.5", "+inf", "nan", "1e400", "-0", "0x1p3", "",
+                    "١٢", "١٢.٥"]
+
+
+def _ingest_outcome(raw):
+    """``ingest``'s rows (months and float.hex) and schema, or its refusal."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.csv")
+        with open(path, "wb") as handle:
+            handle.write(raw)
+        try:
+            result = ingest(path)
+        except CurrsubError as exc:
+            return type(exc), str(exc)
+    return _row_tuples(result.rows), result.schema
+
+
+def _reference_outcome(raw):
+    try:
+        rows, schema = _reference_ingest_rows(raw.decode("utf-8-sig"))
+    except CurrsubError as exc:
+        return type(exc), str(exc)
+    return _row_tuples(rows), schema
+
+
+def _fast_path_outcome(raw):
+    """The column-at-a-time read's rows and schema or refusal; None where it
+    leaves the file to the per-row loop."""
+    text = raw.decode("utf-8-sig")
+    reader = csv.reader(io.StringIO(text, newline=None))
+    header = tuple(name.strip() for name in next(reader))
+    try:
+        data = pipeline._month_ordered(reader, header)
+    except CurrsubError as exc:
+        return type(exc), str(exc)
+    schema = "m_eur_fx" if "fx" in header else "m_eur_lei"
+    return None if data is None else (_row_tuples(data), schema)
+
+
 class TestIngestMatchesRowByRowReference:
     @_PROPERTY_SETTINGS
     @given(data=_datasets(), pick=st.data())
@@ -511,6 +592,30 @@ class TestIngestMatchesRowByRowReference:
         assert schema == reference_schema
         assert _row_tuples(rows) == _row_tuples(reference)
         assert rows.start == reference[0].date and len(rows) == len(reference)
+
+    @pytest.mark.parametrize("columns", [SCHEMA_EUR_FX, SCHEMA_EUR_LEI])
+    @pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+    def test_layout_gives_the_reference_outcome(self, columns, layout):
+        raw = _LAYOUTS[layout](columns, _explicit_records(columns))
+        assert _ingest_outcome(raw) == _reference_outcome(raw)
+
+    @pytest.mark.parametrize("columns", [SCHEMA_EUR_FX, SCHEMA_EUR_LEI])
+    @pytest.mark.parametrize("value", _EXPLICIT_VALUES)
+    def test_value_gives_the_reference_outcome(self, columns, value):
+        # The value in each value column of the third month of a file in month
+        # order: NumPy's column parse must give float()'s bits or refusal.
+        for name in columns[1:]:
+            records = _explicit_records(columns)
+            records[2][name] = value
+            raw = _csv(columns, records).encode()
+            expected = _reference_outcome(raw)
+            assert _ingest_outcome(raw) == expected
+            try:
+                float(value)
+            except ValueError:  # the per-row loop words the refusal
+                assert _fast_path_outcome(raw) is None
+            else:  # the column parse reads the file, or refuses as the loop does
+                assert _fast_path_outcome(raw) == expected
 
 
 class TestDataset:
@@ -933,6 +1038,53 @@ class TestReportRendering:
         assert lines[0] == "date,ratio"
         assert len(lines) == 172
         assert lines[1].startswith("2001-09,")
+
+
+class TestDeltaPathRows:
+    def _doc_and_rows(self):
+        """A report with a 40-month delta path, and the row dicts the path stands for."""
+        est = run_estimation(derived_from_sim(simulate_dgp(TABLE_COEFFS, 40, NOISE, 25)), CONFIG)
+        rows = [{"date": str(est.delta.start.shift(k)), "ratio": ratio, "delta": delta}
+                for k, (ratio, delta) in enumerate(zip(est.delta_ratio.values.tolist(),
+                                                       est.delta.values.tolist()))]
+        return build_report(CONFIG, _FakeIngest, estimation=est), rows
+
+    def test_reads_as_the_list_of_row_dicts(self):
+        doc, rows = self._doc_and_rows()
+        path = doc["delta_path"]
+        assert isinstance(path, tuple) and len(path) == len(rows) == 40
+        assert [path[k] for k in range(-40, 40)] == rows + rows
+        assert path[3:7] == rows[3:7] and path[::-1] == rows[::-1]
+        assert list(path) == rows and [dict(row) for row in path] == rows
+        assert path == rows and rows == path and not path != rows
+        assert path != rows[:-1] and path != tuple(rows)
+        with pytest.raises(IndexError):
+            path[40]
+
+    @pytest.mark.parametrize("output_format", ["json", "csv"])
+    def test_plain_list_renders_through_the_general_walk(self, output_format):
+        doc, rows = self._doc_and_rows()
+        plain = {**doc, "delta_path": rows}
+        text = render_report(doc, output_format)
+        assert render_report(plain, output_format) == text
+        assert _reference_render(plain, output_format) == text
+
+    @pytest.mark.parametrize("output_format", ["json", "csv"])
+    def test_nested_path_renders_as_its_rows(self, output_format):
+        # A path under another key or deeper in the document is still its rows.
+        doc, rows = self._doc_and_rows()
+        path = doc["delta_path"]
+        nested = {"paths": {"first": path, "both": [path, path]}, "path_copy": path}
+        plain = {"paths": {"first": rows, "both": [rows, rows]}, "path_copy": rows}
+        assert render_report(nested, output_format) == render_report(plain, output_format)
+
+
+class _FakeIngest:
+    """An ingest result for build_report: 40 months from 2001-09."""
+
+    rows = Dataset(START, *np.ones((5, 40)))
+    digest = "sha256:" + "0" * 64
+    schema = "m_eur_fx"
 
 
 def _reference_round(obj):

@@ -9,6 +9,8 @@ from currsub.errors import DataError, DegeneracyError
 from currsub.series import (
     MonthlySeries,
     MonthStamp,
+    _month_label,
+    _month_labels,
     pearson_correlation,
 )
 
@@ -54,6 +56,15 @@ class TestMonthStamp:
 
     def test_ordering(self):
         assert MonthStamp(2001, 9) < MonthStamp(2001, 10) < MonthStamp(2002, 1)
+
+    @pytest.mark.parametrize("first", [0, 1, 11, 12, 2001 * 12 + 8, 9999 * 12 - 1, 9999 * 12 + 11])
+    @pytest.mark.parametrize("count", [0, 1, 2, 11, 12, 13, 25])
+    def test_month_labels_are_the_single_labels(self, first, count):
+        expected = [_month_label(index) for index in range(first, first + count)]
+        assert _month_labels(first, count) == expected
+        if 0 < count <= 10000 * 12 - first:  # a series ends by 9999-12
+            series = MonthlySeries(MonthStamp.from_index(first), [1.0] * count)
+            assert series.labels() == [str(series.start.shift(k)) for k in range(count)]
 
     @given(monthstamps, st.integers(-500, 500), st.integers(-500, 500))
     def test_shift_composes(self, stamp, a, b):
