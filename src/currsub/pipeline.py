@@ -640,9 +640,10 @@ def _fmols_entry(report: coint.FmolsReport) -> dict:
 
 class _DeltaPath(tuple):
     """The delta path as the tuple of its columns (``YYYY-MM`` labels, ratios,
-    deltas), read as its {"date", "ratio", "delta"} rows by ``len``, indexing,
-    iteration and equality with a list of them. A tuple, so that walks over
-    lists and tuples see the rows; the renderers write it a template per row."""
+    deltas), read as the list of its {"date", "ratio", "delta"} rows: ``len``,
+    indexing, iteration, equality, ``in``, ``count``, ``index``, ``+``, ``*``
+    and ``repr`` answer as that list does. A tuple, so that walks over lists
+    and tuples see the rows; the renderers write it a template per row."""
 
     def __len__(self) -> int:
         return len(tuple.__getitem__(self, 0))
@@ -658,6 +659,29 @@ class _DeltaPath(tuple):
         return list(self) == other  # another path answers through its own __eq__
 
     __ne__ = object.__ne__  # the negated __eq__, not tuple's
+
+    def __contains__(self, row) -> bool:
+        return row in list(self)
+
+    def count(self, row) -> int:
+        return list(self).count(row)
+
+    def index(self, row, *bounds) -> int:
+        return list(self).index(row, *bounds)
+
+    def __add__(self, other):  # a list of rows, as a list's + gives
+        return list(self) + (list(other) if type(other) is _DeltaPath else other)
+
+    def __radd__(self, other):
+        return other + list(self)
+
+    def __mul__(self, n):
+        return list(self) * n
+
+    __rmul__ = __mul__
+
+    def __repr__(self) -> str:
+        return repr(list(self))
 
     def texts(self):
         """Each row's label and its two floats' texts (:func:`_float_text`)."""

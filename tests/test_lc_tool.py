@@ -188,18 +188,82 @@ def test_mean_case_vector_equals_scalar_across_row_blocks(tool):
     assert np.abs(lc - scalar).max() < 1e-10
 
 
-def test_default_chunk_memory_peak(tool):
-    # Blocking keeps a 250 x 2000 quadratic-trend chunk near its two draws
-    # (7.6 MiB; 10.2 MiB in all): fitted as one block it peaks at 45.9 MiB,
-    # and with a temporary for every step of the draws at 11.6 MiB.
-    rng = np.random.default_rng(0)
+def hex_floats(values):
+    return [float.hex(v) for v in values.tolist()]
+
+
+STREAM_SPANS = ["three_blocks", "under_one_block", "default_chunk"]
+
+
+def stream_size(tool, span):
+    """(reps, T) of a chunk: two full blocks and a short third one, fewer
+    reps than one block, or the default run's 250 x 2000."""
+    rows, reps = block_reps(tool)
+    return {"three_blocks": (reps, BLOCK_T), "under_one_block": (rows - 1, BLOCK_T),
+            "default_chunk": (250, 2000)}[span]
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+@pytest.mark.parametrize("span", STREAM_SPANS)
+def test_chunk_streams_the_whole_draws_bit_for_bit(tool, config, span):
+    # Each block's y is drawn, and its x walked, inside the block loop: the
+    # Lc draws must be _lc_block's over the row blocks of _draws' whole x
+    # and y, to the last bit, or the stream was cut in another order.
+    reps, t_len = stream_size(tool, span)
+    powers = tool.CONFIG_TREND_POWERS[config]
+    seed = 23
+    q0 = tool._trend_basis(t_len, powers)
+    q1 = tool._trend_basis(t_len, powers, first=1)
+    x, y = tool._draws(np.random.default_rng(seed), reps, t_len)
+    blocks = tool._row_blocks(reps, t_len, tool._BLOCK_VALUES)
+    expect = np.concatenate([tool._lc_block(q0, q1, x[rows], y[rows]) for rows in blocks])
+    batch = tool.simulate_lc_chunk(np.random.default_rng(seed), reps, t_len, powers)
+    assert hex_floats(batch) == hex_floats(expect)
+
+
+@pytest.mark.parametrize("powers", [(0,), (0, 1)])
+@pytest.mark.parametrize("span", STREAM_SPANS)
+def test_mean_case_streams_the_whole_draw_bit_for_bit(tool, powers, span):
+    reps, t_len = stream_size(tool, span)
+    q = tool._trend_basis(t_len, powers)
+    y = np.random.default_rng(29).standard_normal((reps, t_len))
+    lc, scalar = np.empty(reps), np.empty(reps)
+    for rows in tool._row_blocks(reps, t_len, tool._BLOCK_VALUES):
+        resid = tool._project_off(q, y[rows])
+        omega = (resid * resid).mean(axis=1)
+        lc[rows] = coint._cumulated_quad(q * resid[:, None, :]) / (t_len * omega)
+        s = np.cumsum(resid, axis=1)
+        scalar[rows] = (s * s).sum(axis=1) / (t_len**2 * omega)
+    got = tool.simulate_mean_case_chunk(np.random.default_rng(29), reps, t_len, powers)
+    assert [hex_floats(part) for part in got] == [hex_floats(lc), hex_floats(scalar)]
+
+
+def traced_peak(call):
     tracemalloc.start()
     try:
-        tool.simulate_lc_chunk(rng, 250, 2000, (0, 1, 2))
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 11 * 2**20
+
+
+def test_default_chunk_memory_peak(tool):
+    # A 250 x 2000 quadratic-trend chunk holds its x increments whole
+    # (3.8 MiB) and one row block's y, walk and fit beside them: 6.6 MiB.
+    # Fitted as one block it peaks at 45.9 MiB; with x and y drawn whole
+    # and the walk's x * x over the whole chunk, at 10.2 MiB.
+    rng = np.random.default_rng(0)
+    peak = traced_peak(lambda: tool.simulate_lc_chunk(rng, 250, 2000, (0, 1, 2)))
+    assert peak <= 7 * 2**20
+
+
+def test_default_mean_case_chunk_memory_peak(tool):
+    # The no-regressor reduction holds no whole-chunk array: a 250 x 2000
+    # linear-trend chunk peaks at one row block's draw and fit, 1.5 MiB
+    # (5.1 MiB with its y drawn whole).
+    rng = np.random.default_rng(0)
+    peak = traced_peak(lambda: tool.simulate_mean_case_chunk(rng, 250, 2000, (0, 1)))
+    assert peak <= 2 * 2**20
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 50, 2000, 100_000])

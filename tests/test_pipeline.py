@@ -1061,6 +1061,30 @@ class TestDeltaPathRows:
         with pytest.raises(IndexError):
             path[40]
 
+    def test_answers_membership_search_concatenation_and_repr_as_its_rows(self):
+        path = pipeline._DeltaPath((["2001-09", "2001-10"], [1.0, 0.75], [0.5, 0.25]))
+        rows = [
+            {"date": "2001-09", "ratio": 1.0, "delta": 0.5},
+            {"date": "2001-10", "ratio": 0.75, "delta": 0.25},
+        ]
+        other = {"date": "2001-11", "ratio": 0.5, "delta": 0.0}
+        for row in rows + [other, "2001-09", [1.0, 0.75]]:
+            assert (row in path) == (row in rows)
+            assert path.count(row) == rows.count(row)
+        assert [path.index(row) for row in rows] == [0, 1]
+        assert path.index(rows[1], 1) == 1
+        for args in ((other,), ("2001-09",), (rows[0], 1)):
+            with pytest.raises(ValueError):
+                path.index(*args)
+        assert path + [other] == rows + [other] and type(path + [other]) is list
+        assert [other] + path == [other] + rows and type([other] + path) is list
+        assert path + path == rows + rows
+        assert path * 2 == rows * 2 and 2 * path == 2 * rows
+        for bad in ((other,), other):
+            with pytest.raises(TypeError):
+                path + bad
+        assert repr(path) == repr(rows) and str(path) == str(rows)
+
     @pytest.mark.parametrize("output_format", ["json", "csv"])
     def test_plain_list_renders_through_the_general_walk(self, output_format):
         doc, rows = self._doc_and_rows()

@@ -22,14 +22,17 @@ reparametrisation of the regressors, so the scores are taken in those
 orthonormal coordinates.
 
 The reps are cut into chunks of about ``_CHUNK_VALUES`` values (250 reps
-at T = 2000). Each chunk is drawn whole (``_draws``: every rep's x, then
-every rep's y) and then fitted in row blocks of about ``_BLOCK_VALUES``
+at T = 2000) and each chunk into row blocks of about ``_BLOCK_VALUES``
 values (16 rows at T = 2000), so a block's arrays stay cache-sized; one
-helper, ``_row_blocks``, cuts both. The blocks sit inside the chunk
-instead of replacing it: the chunk size decides how the generator's
-stream is cut into draws, and so the table, while the block size only
-decides which rows share a BLAS call, which can move a draw's last bits
-(about 1e-13 relative) but not a printed quantile.
+helper, ``_row_blocks``, cuts both. A chunk draws every rep's x
+increments, then every rep's y, as ``_draws`` does whole, but streams
+the y: each block's y is drawn, and its x walk finished, in the block
+loop, so only x is held whole. The generator fills its output in order,
+so the draws keep their bits. The blocks sit inside the chunk instead of
+replacing it: the chunk size decides how the generator's stream is cut
+into draws, and so the table, while the block size only decides which
+rows share a BLAS call, which can move a draw's last bits (about 1e-13
+relative) but not a printed quantile.
 
 Three independent checks guard against transcription drift:
 
@@ -84,16 +87,21 @@ def _project_off(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     return v
 
 
+def _walk(x: np.ndarray) -> np.ndarray:
+    """Each row of the increments x, in place, summed into a random walk
+    and rescaled to unit RMS; returns x."""
+    np.cumsum(x, axis=1, out=x)
+    x /= np.sqrt((x * x).mean(axis=1, keepdims=True))
+    return x
+
+
 def _draws(
     rng: np.random.Generator, reps: int, t_len: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(x, y) from ``rng``: the (reps, t_len) standard normal increments
-    of x, then y likewise; each row of x is rescaled to unit RMS. x is
-    summed and rescaled in place before y is drawn, so the draws never
-    hold more than x, y and one temporary of their size."""
-    x = rng.standard_normal((reps, t_len))
-    np.cumsum(x, axis=1, out=x)
-    x /= np.sqrt((x * x).mean(axis=1, keepdims=True))
+    """(x, y) from ``rng``, whole: the (reps, t_len) standard normal
+    increments of x, walked by ``_walk``, then y likewise, unwalked. The
+    reference for the stream order that simulate_lc_chunk draws in blocks."""
+    x = _walk(rng.standard_normal((reps, t_len)))
     return x, rng.standard_normal((reps, t_len))
 
 
@@ -120,8 +128,8 @@ _CHUNK_VALUES = 500_000
 # configurations take (medians of 14 interleaved rounds) 269 ms as one
 # 250-row block and 182 / 177 / 172 / 182 / 202 ms in blocks of 4 / 8 /
 # 16 / 32 / 65 rows; a quadratic-trend chunk's tracemalloc peak is
-# 45.9 MiB and 8.3 / 9.0 / 10.2 / 12.6 / 17.6 MiB (the draws are 7.6 MiB).
-# 8 rows were not faster than 16 over 62 paired rounds.
+# 45.9 MiB and 4.6 / 5.3 / 6.6 / 9.3 / 14.8 MiB (x, held whole, is
+# 3.8 MiB). 8 rows were not faster than 16 over 62 paired rounds.
 _BLOCK_VALUES = 32_768
 
 
@@ -181,18 +189,20 @@ def simulate_lc_chunk(
     one, so the serial-correlation bias term is identically zero and only
     the endogeneity correction to y survives.
 
-    The chunk is drawn whole by ``_draws(rng, reps, t_len)`` and fitted in
-    ``_row_blocks`` of about _BLOCK_VALUES values (see the module
-    docstring). The scores are time-last, (rows, k, T - 1), for
-    coint._cumulated_quad; standard-normal draws cannot overflow it, so
-    the division by m * omega112 follows the sum.
+    The chunk draws ``_draws(rng, reps, t_len)``'s stream, x whole and y
+    one ``_row_blocks`` block of about _BLOCK_VALUES values at a time, and
+    fits each block as it is drawn (see the module docstring). The scores
+    are time-last, (rows, k, T - 1), for coint._cumulated_quad;
+    standard-normal draws cannot overflow it, so the division by
+    m * omega112 follows the sum.
     """
     q0 = _trend_basis(t_len, powers)
     q1 = _trend_basis(t_len, powers, first=1)
-    x, y = _draws(rng, reps, t_len)
+    x = rng.standard_normal((reps, t_len))
     lc = np.empty(reps)
     for rows in _row_blocks(reps, t_len, _BLOCK_VALUES):
-        lc[rows] = _lc_block(q0, q1, x[rows], y[rows])
+        y = rng.standard_normal((rows.stop - rows.start, t_len))
+        lc[rows] = _lc_block(q0, q1, _walk(x[rows]), y)
     return lc
 
 
@@ -200,13 +210,12 @@ def simulate_mean_case_chunk(
     rng: np.random.Generator, reps: int, t_len: int, powers: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
     """No-regressor reduction: (vector Lc, scalar partial-sum statistic),
-    drawn for the whole chunk and fitted in ``_row_blocks``."""
+    each ``_row_blocks`` block's y drawn and fitted in turn."""
     q = _trend_basis(t_len, powers)
-    y = rng.standard_normal((reps, t_len))
     lc = np.empty(reps)
     scalar = np.empty(reps)
     for rows in _row_blocks(reps, t_len, _BLOCK_VALUES):
-        resid = _project_off(q, y[rows])
+        resid = _project_off(q, rng.standard_normal((rows.stop - rows.start, t_len)))
         omega = (resid * resid).mean(axis=1)
         lc[rows] = _cumulated_quad(q * resid[:, None, :]) / (t_len * omega)
         s = np.cumsum(resid, axis=1)
