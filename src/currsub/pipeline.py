@@ -5,14 +5,14 @@ plus a synthetic-dataset writer that inverts the derivation so simulated
 draws can be pushed through the exact same path, and a Monte Carlo
 driver for validating the estimators, which runs its seeds in blocks
 through the stacked kernels (see :func:`run_montecarlo`). A dataset is
-columnar (:class:`Dataset`): ingest parses a sorted file by column, derivation
-runs a column at a time, the unit-root grid tests both series as one
-ADF and one PP stack per spec, and the share path is evaluated on the
-whole month column. A unit-root stack or a Monte Carlo block that refuses
-reruns its cells or seeds alone only to raise the refusal a one-by-one run
-meets first; results come from the batch alone. Everything here is a pure
-function of its inputs; the CLI layer owns argument parsing and process
-exit codes.
+columnar (:class:`Dataset`): ingest reads a file once and checks it a
+stage at a time (:func:`ingest_rows`), derivation runs a column at a time,
+the unit-root grid tests both series as one ADF and one PP stack per spec,
+and the share path is evaluated on the whole month column. A unit-root
+stack or a Monte Carlo block that refuses reruns its cells or seeds alone
+only to raise the refusal a one-by-one run meets first; results come from
+the batch alone. Everything here is a pure function of its inputs; the CLI
+layer owns argument parsing and process exit codes.
 
 Serialization rule: every float in an emitted report is rounded to 9
 significant digits, which makes repeated runs byte-identical and report
@@ -29,6 +29,7 @@ import csv
 import dataclasses
 import hashlib
 import io
+import itertools
 import math
 import statistics
 from collections import namedtuple
@@ -226,28 +227,24 @@ def _dataset_columns(named: dict) -> list[np.ndarray]:
     return [named[name] for name in _COLUMNS]
 
 
-def _month_ordered(reader, header: tuple) -> Dataset | None:
-    """The dataset of the reader's records, a column at a time, if each has a
-    field per column, the stripped dates are the labels of consecutive months
-    and ``float`` parses every value; else None. The rows are then in file
-    order, so the Dataset refuses the month the per-row loop would refuse."""
+def _parse_each(parse, texts) -> tuple[list, ValueError | None]:
+    """``parse`` of each text up to the first it refuses, and that refusal or None."""
+    parsed = []
     try:
-        records = list(filter(None, reader))  # a blank line is an empty record
-    except csv.Error:
-        return None
-    if set(map(len, records)) != {len(header)}:
-        return None
-    columns = dict(zip(header, zip(*records)))
-    dates = list(map(str.strip, columns.pop("date")))
-    try:  # a DataError too: the per-row loop words each refusal
-        first = MonthStamp.parse_index(dates[0])
-        if first + len(dates) > 10000 * 12 or dates != _month_labels(first, len(dates)):
-            return None
-        # NumPy parses each str with float(), as the per-row loop does.
-        named = {name: np.array(column, dtype=float) for name, column in columns.items()}
-    except ValueError:
-        return None
-    return Dataset(MonthStamp.from_index(first), *_dataset_columns(named))
+        for text in texts:
+            parsed.append(parse(text))
+    except ValueError as exc:
+        return parsed, exc
+    return parsed, None
+
+
+def _line_of(text: str, k: int) -> int:
+    """The physical line on which record ``k`` of CSV text ends: the records
+    counted from 0 after the header, blank lines skipped, as ingest reads them."""
+    reader = csv.reader(io.StringIO(text, newline=None))
+    next(reader)
+    next(itertools.islice(filter(None, reader), k, None))
+    return reader.line_num
 
 
 def ingest_rows(text: str) -> tuple[Dataset, str]:
@@ -259,8 +256,10 @@ def ingest_rows(text: str) -> tuple[Dataset, str]:
     skipped, and a refused row is named by its physical line. Lines may
     end in LF, CRLF or CR alone. Rows are sorted by date and must form
     one contiguous monthly span. A refusal is the first in file order, or
-    else a duplicate or missing month. A file in month order is parsed by
-    column (:func:`_month_ordered`), any other again row by row.
+    else a duplicate or missing month. The text is read once, and its
+    records are checked a stage at a time in a record's own order (field
+    count, date, values, row rules), each stage on the records before the
+    earliest refusal found so far.
     """
     # newline=None reads a lone CR as a line end, and line_num stays physical.
     reader = csv.reader(io.StringIO(text, newline=None))
@@ -282,45 +281,46 @@ def ingest_rows(text: str) -> tuple[Dataset, str]:
         raise IngestionError(
             f"header {header} matches neither {SCHEMA_EUR_FX} nor {SCHEMA_EUR_LEI}"
         )
-    if (data := _month_ordered(reader, header)) is not None:
-        return data, schema
-    reader = csv.reader(io.StringIO(text, newline=None))  # read again, a row at a time,
-    next(reader)  # to sort the rows or to word the refusal
-    column = {name: k for k, name in enumerate(header)}
-    date_column = column["date"]
-    value_columns = [(name, column[name]) for name in _PARSE_ORDER[schema]]
 
-    indices, parsed, failure = [], [], None  # failure: the record that ends the scan
+    records, failure = [], None  # failure: the earliest refusal found so far
     try:
-        for values in reader:
-            if not values:
-                continue
-            if len(values) != len(header):
-                raise IngestionError(f"line {reader.line_num}: wrong number of fields")
-            try:
-                index = MonthStamp.parse_index(values[date_column].strip())
-            except DataError as exc:
-                raise IngestionError(f"line {reader.line_num}: {exc}") from None
-            row = []
-            for name, k in value_columns:
-                try:
-                    row.append(float(values[k]))
-                except ValueError:
-                    date = values[date_column].strip()
-                    raise IngestionError(f"{date}: cannot parse {name}={values[k]!r}") from None
-            parsed.append(row)
-            indices.append(index)
-    except csv.Error as exc:
+        records.extend(filter(None, reader))  # a blank line is an empty record
+    except csv.Error as exc:  # the records read before it are kept
         failure = IngestionError(f"line {reader.line_num}: {exc}")
-    except IngestionError as exc:
-        failure = exc
-    if not parsed:
-        raise failure or IngestionError("no data rows")
-    columns = _dataset_columns(dict(zip(_PARSE_ORDER[schema], map(np.array, zip(*parsed)))))
+    if set(map(len, records)) - {len(header)}:
+        k = next(k for k, values in enumerate(records) if len(values) != len(header))
+        del records[k:]
+        failure = IngestionError(f"line {_line_of(text, k)}: wrong number of fields")
+    fields = dict(zip(header, zip(*records))) if records else dict.fromkeys(header, ())
+    dates = list(map(str.strip, fields["date"]))
+    try:  # the dates of consecutive months are not parsed one by one
+        first = MonthStamp.parse_index(dates[0])
+        in_order = first + len(dates) <= 10000 * 12 and dates == _month_labels(first, len(dates))
+    except (IndexError, DataError):
+        in_order = False
+    if in_order:
+        indices = range(first, first + len(dates))
+    else:
+        indices, refusal = _parse_each(MonthStamp.parse_index, dates)
+        if refusal is not None:
+            failure = IngestionError(f"line {_line_of(text, len(indices))}: {refusal}")
+    n, named = len(indices), {}  # n: the records before the earliest refusal
+    for name in _PARSE_ORDER[schema]:
+        texts = fields[name][:n]
+        try:  # NumPy parses each str with float()
+            named[name] = np.array(texts, dtype=float)
+        except ValueError:  # float() finds the text NumPy refused
+            floats, _ = _parse_each(float, texts)
+            n = len(floats)
+            failure = IngestionError(f"{dates[n]}: cannot parse {name}={texts[n]!r}")
+            named[name] = np.array(floats)
+    columns = [column[:n] for column in _dataset_columns(named)]
+    if in_order and failure is None:  # the Dataset refuses the first row to break a rule
+        return Dataset(MonthStamp.from_index(first), *columns), schema
     if (defect := _row_defect(columns)) is not None:
         raise IngestionError(f"{MonthStamp.from_index(indices[defect[0]])}: {defect[1]}")
-    if failure is not None:
-        raise failure
+    if failure is not None or n == 0:
+        raise failure or IngestionError("no data rows")
 
     order = np.argsort(indices, kind="stable")
     months = np.array(indices)[order].tolist()
@@ -638,55 +638,16 @@ def _fmols_entry(report: coint.FmolsReport) -> dict:
     }
 
 
-class _DeltaPath(tuple):
-    """The delta path as the tuple of its columns (``YYYY-MM`` labels, ratios,
-    deltas), read as the list of its {"date", "ratio", "delta"} rows: ``len``,
-    indexing, iteration, equality, ``in``, ``count``, ``index``, ``+``, ``*``
-    and ``repr`` answer as that list does. A tuple, so that walks over lists
-    and tuples see the rows; the renderers write it a template per row."""
+class _DeltaPath(namedtuple("_DeltaPath", ("labels", "ratios", "deltas"))):
+    """The delta path as its three columns: ``YYYY-MM`` labels, ratios and
+    deltas. The renderers write it a template per row, with the text of
+    the list of its {"date", "ratio", "delta"} rows."""
 
-    def __len__(self) -> int:
-        return len(tuple.__getitem__(self, 0))
-
-    def __getitem__(self, k):  # a slice gives a list of rows, as a list's slice does
-        return list(self)[k] if isinstance(k, slice) else dict(
-            zip(("date", "ratio", "delta"), (column[k] for column in tuple.__iter__(self))))
-
-    def __iter__(self):
-        return (dict(date=d, ratio=r, delta=x) for d, r, x in zip(*tuple.__iter__(self)))
-
-    def __eq__(self, other) -> bool:
-        return list(self) == other  # another path answers through its own __eq__
-
-    __ne__ = object.__ne__  # the negated __eq__, not tuple's
-
-    def __contains__(self, row) -> bool:
-        return row in list(self)
-
-    def count(self, row) -> int:
-        return list(self).count(row)
-
-    def index(self, row, *bounds) -> int:
-        return list(self).index(row, *bounds)
-
-    def __add__(self, other):  # a list of rows, as a list's + gives
-        return list(self) + (list(other) if type(other) is _DeltaPath else other)
-
-    def __radd__(self, other):
-        return other + list(self)
-
-    def __mul__(self, n):
-        return list(self) * n
-
-    __rmul__ = __mul__
-
-    def __repr__(self) -> str:
-        return repr(list(self))
+    __slots__ = ()
 
     def texts(self):
         """Each row's label and its two floats' texts (:func:`_float_text`)."""
-        labels, ratios, deltas = tuple.__iter__(self)
-        return zip(labels, map(_float_text, ratios), map(_float_text, deltas))
+        return zip(self.labels, map(_float_text, self.ratios), map(_float_text, self.deltas))
 
 
 def build_report(
@@ -695,7 +656,8 @@ def build_report(
     unit_roots: tuple[UnitRootRun, ...] | None = None,
     estimation: EstimationResult | None = None,
 ) -> dict:
-    """Assemble the full machine-readable report document (its delta path a :class:`_DeltaPath`)."""
+    """Assemble the full machine-readable report document; its delta path
+    is a :class:`_DeltaPath`, a plain record of three columns."""
     data = ingested.rows
     doc = {
         "config": config.metadata(data.start),
@@ -714,9 +676,9 @@ def build_report(
         doc["unit_roots"] = [{"series": run.series, **vars(run.report)} for run in unit_roots]
     if estimation is not None:
         doc["fmols"] = _fmols_entry(estimation.fmols)
-        doc["delta_path"] = _DeltaPath((estimation.delta_ratio.labels(),
-                                        estimation.delta_ratio.values.tolist(),
-                                        estimation.delta.values.tolist()))
+        doc["delta_path"] = _DeltaPath(estimation.delta_ratio.labels(),
+                                       estimation.delta_ratio.values.tolist(),
+                                       estimation.delta.values.tolist())
         doc["correlation"] = estimation.correlation
     return doc
 
