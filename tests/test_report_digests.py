@@ -1,8 +1,10 @@
-"""The parity-digest tool: six lines, the same on every run of one checkout."""
+"""The parity-digest tool: a header and six lines, the same on every run of one checkout."""
 
 import importlib.util
 import re
 from pathlib import Path
+
+import numpy as np
 
 TOOL_PATH = Path(__file__).resolve().parents[1] / "tools" / "report_digests.py"
 
@@ -77,3 +79,11 @@ def test_adf_stack_line_repeats_and_sees_each_run():
     assert int(stacks) == len(runs) * 2 * 2 * len(tool.ADF_LAGS)
     assert tool.adf_stack_digest(runs[:1]) != first
     assert tool.adf_stack_digest(((3, 60, 1), runs[1])) != first
+
+
+def test_header_repeats_and_names_numpy_and_the_blas_core():
+    tool = load_tool()
+    first = tool.blas_header()
+    assert tool.blas_header() == first
+    version = re.fullmatch(r"numpy (\S+), openblas core \S+", first).group(1)
+    assert version == np.__version__

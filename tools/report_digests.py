@@ -5,11 +5,15 @@ Run it once per checkout, importing the package from ``PYTHONPATH``:
     PYTHONPATH=<parent checkout>/src python tools/report_digests.py
     PYTHONPATH=src python tools/report_digests.py
 
-Equal lines mean that a change left every report byte and every computed
-float bit as it was. The grid is seeds 0-19 x n in {60, 120, 171, 240,
-360} draws of the model at the README truth, each written as a CSV file
-and estimated under five configurations (default, csv output, bandwidth
-0, lags 2 with bandwidth 9, trend origin 1990-01).
+A header line, ``numpy <version>, openblas core <name>``, comes first. It
+names the BLAS kernel the run loaded (``unknown`` where the library does
+not say), because the bits, and rarely a rendered 9th digit, depend on
+it: compare two checkouts on one kernel only. Then, equal lines mean
+that a change left every report byte and every computed float bit as it
+was. The grid is seeds 0-19 x n in {60, 120, 171, 240, 360} draws of the
+model at the README truth, each written as a CSV file and estimated
+under five configurations (default, csv output, bandwidth 0, lags 2 with
+bandwidth 9, trend origin 1990-01).
 
 The first line, ``<reports> reports, <refused> refused, sha256:<hex>``,
 covers what a user reads: per run, the rendered estimate report and
@@ -70,9 +74,11 @@ Uses only the standard library and NumPy; takes 5-11 s on a shared 2-vCPU VM.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -96,6 +102,22 @@ FMOLS_BANDWIDTHS = (None, 0, 5)
 ADF_LAGS = (None, 2)
 # (n_seeds, n_obs, seed_base) of the raw Monte Carlo runs.
 MONTECARLO_RUNS = ((50, 171, 0), (61, 400, 7919))
+
+
+def blas_header() -> str:
+    """NumPy's version and the core name of the OpenBLAS it loaded."""
+    core = "unknown"
+    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libdir.glob("*openblas*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes = []
+        corename.restype = ctypes.c_char_p
+        core = corename().decode()
+        break
+    return f"numpy {np.__version__}, openblas core {core}"
 
 
 def _hex_line(values) -> bytes:
@@ -325,6 +347,7 @@ def adf_stack_digest(runs=MONTECARLO_RUNS) -> str:
 
 
 if __name__ == "__main__":
+    print(blas_header())
     print(*report_digest(), sep="\n")
     print(montecarlo_digest())
     print(ingest_digest())
